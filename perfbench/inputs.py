@@ -18,9 +18,9 @@ from common import WORK
 #: Batch workloads: generator, its scale, the placement budget ``k``,
 #: and which ingestion path the place run takes.
 BATCH = {
-    "scale-exact": {"generator": "scale-dag", "scale": 3.0, "k": 10,
+    "scale-exact": {"generator": "scale-dag", "scale": 1.5, "k": 10,
                     "ingest": "streamed"},
-    "deep-exact": {"generator": "synthetic-dense", "scale": 4.0, "k": 50,
+    "deep-exact": {"generator": "synthetic-dense", "scale": 2.0, "k": 50,
                    "ingest": "materialized"},
 }
 #: The same code paths on inputs small enough for the benchmark's tests.
@@ -100,7 +100,7 @@ def batch_input(workload: str, seed: int, smoke: bool) -> Path:
     """The edge-list file one batch run ingests (generated once per seed)."""
     spec = (BATCH_SMOKE if smoke else BATCH)[workload]
     tag = "-smoke" if smoke else ""
-    final = WORK / "inputs" / f"{workload}-{seed}{tag}.txt"
+    final = WORK / "inputs" / f"{workload}@{spec['scale']:g}-{seed}{tag}.txt"
     if final.exists():
         return final
     final.parent.mkdir(parents=True, exist_ok=True)
