@@ -592,57 +592,19 @@ class NumpyBackend(SampledEvaluationMixin):
         """The (cached) packed reachability counts — int64, shape ``(n,)``.
 
         Routed through the blocked out-of-core warm
-        (:func:`repro.propagation.reach.warm_reach_counts`): O(n·B/8)
-        resident instead of O(n·S/8), bit-identical by exact integer
-        addition, and shared with the compiled graph's cache — so
-        ``.fpc``-persisted counts are reused and the python backend's
-        warm never re-sweeps.  Plans built without a compiled reference
-        (tests) fall back to the monolithic :meth:`_build_nreach`.
+        (:func:`repro.propagation.reach.warm_reach_counts`, looked up on
+        its module at call time): O(n·B/8) resident instead of O(n·S/8),
+        bit-identical by exact integer addition, and shared with the
+        compiled graph's cache — so ``.fpc``-persisted counts are reused
+        and the python backend's warm never re-sweeps.
         """
         if plan.nreach is None:
-            if plan.compiled is not None:
-                from repro.propagation.reach import warm_reach_counts
+            from repro.propagation import reach
 
-                plan.nreach = self._np.asarray(
-                    warm_reach_counts(plan.compiled), dtype=self._np.int64
-                )
-            else:
-                plan.nreach = self._build_nreach(plan)
-        return plan.nreach
-
-    def _build_nreach(self, plan: _Plan) -> Any:
-        """One bit-packed sweep: 64 sources per ``uint64`` lane.
-
-        ``B(v) = own(v) | OR_{p ∈ pred(v)} B(p)`` over the level
-        partition, with each level's per-destination OR folded by
-        ``np.bitwise_or.reduceat``; ``nreach(v)`` is then the popcount
-        minus ``v``'s own bit (``ψ_v(v) = 0`` in a DAG).  Bit-identical
-        to :func:`repro.graphs.compiled.packed_reach_counts`, which the
-        python backend sweeps over arbitrary-width ints.
-        """
-        np = self._np
-        lanes = max(1, (len(plan.sources) + 63) // 64)
-        B = np.zeros((lanes, plan.n), dtype=np.uint64)
-        for col in np.flatnonzero(plan.col_to_row >= 0).tolist():
-            row = int(plan.col_to_row[col])
-            B[row >> 6, col] |= np.uint64(1 << (row & 63))
-        for lvl in plan.levels:
-            if not lvl.has_edges:
-                continue
-            B[:, lvl.fwd_uniq_dst] |= np.bitwise_or.reduceat(
-                B[:, lvl.fwd_src_global], lvl.fwd_offsets, axis=1
+            plan.nreach = self._np.asarray(
+                reach.warm_reach_counts(plan.compiled), dtype=self._np.int64
             )
-        return self._popcount_columns(B) - plan.src_bonus
-
-    def _popcount_columns(self, packed: Any) -> Any:
-        """Per-column popcount totals of a ``(lanes, n)`` uint64 array."""
-        np = self._np
-        if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-            return np.bitwise_count(packed).sum(axis=0, dtype=np.int64)
-        bits = np.unpackbits(packed.view(np.uint8), axis=1)
-        return bits.reshape(packed.shape[0], -1, 64).sum(
-            axis=(0, 2), dtype=np.int64
-        )
+        return plan.nreach
 
     def _totals_vector(self, plan: _Plan, mask: Any) -> Any:
         """Aggregate totals ``T(v) = Σ_s ψ_s(v)`` in one 1-D sweep.

@@ -138,7 +138,6 @@ class CompiledGraph:
         "_in_pos_of_out",
         "_edge_prob_cache",
         "_source_mark",
-        "_reach_masks",
         "_reach_counts",
     )
 
@@ -190,7 +189,6 @@ class CompiledGraph:
         self._in_pos_of_out = None
         self._edge_prob_cache = None
         self._source_mark = None
-        self._reach_masks = None
         self._reach_counts = None
         self.source_ids = tuple(sorted(index[s] for s in graph.sources))
         self.sink_ids = tuple(i for i in range(n) if not out_degree[i])
@@ -348,7 +346,6 @@ class CompiledGraph:
         self._in_pos_of_out = None
         self._edge_prob_cache = None
         self._source_mark = None
-        self._reach_masks = None
         self._reach_counts = None
         self.source_ids = tuple(int(s) for s in source_ids)
         if type(out_degree).__module__.startswith("numpy"):
@@ -482,18 +479,6 @@ class CompiledGraph:
             self._source_mark = mark
         return self._source_mark
 
-    def reach_masks(self) -> list[int]:
-        """Per-node source-reachability bitsets (cached; DAG-only).
-
-        See :func:`packed_reach_masks` for the lane layout.  Cached on
-        the compiled graph because reachability is filter-independent:
-        every deterministic aggregate evaluation on this graph reuses
-        the same masks regardless of the filter set.
-        """
-        if self._reach_masks is None:
-            self._reach_masks = packed_reach_masks(self)
-        return self._reach_masks
-
     def reach_counts(self) -> list[int]:
         """``nreach[v]``: sources with a ≥1-edge path to ``v`` (cached).
 
@@ -502,20 +487,15 @@ class CompiledGraph:
         anything it receives), so this is a per-graph constant the
         aggregate gain formulas consume.
 
-        Derived by the *blocked* sweep (:func:`blocked_reach_counts`)
-        unless the full masks happen to be cached already — counting
-        must never pin the O(n·S/8) mask list resident, only callers of
-        :meth:`reach_masks` pay for masks.
+        Built by the one reach entry point,
+        :func:`repro.propagation.reach.warm_reach_counts` (the NumPy
+        plane when available, traced and counted), which caches the
+        result on this graph.
         """
         if self._reach_counts is None:
-            if self._reach_masks is not None:
-                mark = self.source_mark()
-                self._reach_counts = [
-                    m.bit_count() - mark[v]
-                    for v, m in enumerate(self._reach_masks)
-                ]
-            else:
-                self._reach_counts = blocked_reach_counts(self)
+            from repro.propagation import reach
+
+            return reach.warm_reach_counts(self)
         return self._reach_counts
 
     # ------------------------------------------------------------------
@@ -676,9 +656,6 @@ class CompiledGraph:
             resident += _table_nbytes(self._in_pos_of_out)
         if self._source_mark is not None:
             resident += sys.getsizeof(self._source_mark)
-        if self._reach_masks is not None:
-            resident += sys.getsizeof(self._reach_masks)
-            resident += sum(sys.getsizeof(m) for m in self._reach_masks)
         if self._reach_counts is not None:
             resident += _table_nbytes(self._reach_counts)
         if self._edge_prob_cache:

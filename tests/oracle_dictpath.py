@@ -7,7 +7,7 @@ implementations — the seed's ``item_receipts`` / ``absorbing_suffix`` /
 loops built on them — kept *in the test tree only* so the cross-layer
 equivalence suite can assert that the interned-id/CSR path produces
 bit-identical numbers and placements on every dataset, algorithm,
-strategy and backend.
+strategy and backend — and, world by world, the sampled SAA sweeps.
 
 Nothing here may import from ``repro.backends`` or touch
 ``CGraph.compiled()``: the whole point is an independent derivation.
@@ -115,6 +115,47 @@ def simplified_impacts_dict(
         for v in order:
             totals[v] += psi[v]
     return {v: totals[v] * graph.out_degree(v) for v in graph.nodes()}
+
+
+def world_graphs_dict(graph: CGraph, masks) -> list[CGraph]:
+    """One ``CGraph`` per sampled live-edge world.
+
+    ``masks`` holds one 0/1 coin per edge, in ``graph.edges()`` order
+    (the sampler's canonical forward-CSR order).  Each world keeps every
+    node and the full graph's source set, so a source cut off by dead
+    edges still counts as a source — as in the sampled sweeps.
+    """
+    edges = list(graph.edges())
+    return [
+        CGraph(
+            [e for e, live in zip(edges, mask) if live],
+            nodes=graph.nodes(),
+            sources=graph.sources,
+        )
+        for mask in masks
+    ]
+
+
+def sampled_dict(
+    graph: CGraph,
+    filters: Collection[Node],
+    masks,
+) -> tuple[dict[Node, int], dict[Node, int], int]:
+    """Per-world oracle of the SAA queries, summed over worlds.
+
+    Returns ``(Σ_t I_t(v | A), Σ_t I'_t(v), Σ_t Φ_t(A))`` from the dict
+    sweeps above, run once per world graph of :func:`world_graphs_dict`.
+    """
+    gains: dict[Node, int] = dict.fromkeys(graph.nodes(), 0)
+    scores: dict[Node, int] = dict.fromkeys(graph.nodes(), 0)
+    phi = 0
+    for world in world_graphs_dict(graph, masks):
+        for v, gain in marginal_gains_dict(world, filters).items():
+            gains[v] += gain
+        for v, score in simplified_impacts_dict(world, filters).items():
+            scores[v] += score
+        phi += phi_dict(world, filters)
+    return gains, scores, phi
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,9 @@ Three independent derivations are cross-checked per case:
   neither ``repro.backends`` nor ``CGraph.compiled()``.
 
 Probabilistic cases compare the two tiers over identical sampled worlds
-(common random numbers), where results are exact summed integers and so
-must match bit-for-bit, not approximately.  The whole module runs
+(common random numbers), and both against the dict engine run once per
+world, where results are exact summed integers and so must match
+bit-for-bit, not approximately.  The whole module runs
 without NumPy (the numpy axis simply drops out), which is how the
 no-numpy CI job fuzzes the pure-Python engine alone.
 """
@@ -31,6 +32,7 @@ from repro.backends.python_backend import TIERS
 from repro.backends.registry import available_backends, build_backend
 from repro.core.registry import STRATEGY_NAMES, get_algorithm
 from repro.propagation.model import PropagationModel
+from repro.propagation.sampling import get_worlds
 
 CASES = standard_cases()
 K = 4
@@ -165,6 +167,48 @@ def test_sampled_queries_bit_identical_across_tiers_and_backends(
             f"{case.name}/{mechanism}: sampled results of {key} diverged "
             "from python/lanes over identical worlds"
         )
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+@pytest.mark.parametrize("mechanism", ("live-edge", "per-copy"))
+def test_sampled_queries_match_per_world_oracle(case, mechanism):
+    # An SAA reference independent of every sweep tier: the dict engine
+    # run once per sampled world, summed over worlds.
+    graph = case_graph(case)
+    model = PropagationModel(
+        mechanism=mechanism,
+        probabilities=case.edge_probabilities(),
+        trials=TRIALS,
+        seed=case.seed,
+    )
+    filters = case_filter_sets(case)[1]
+    gains, scores, phi = oracle.sampled_dict(
+        graph, filters, get_worlds(graph, model).masks
+    )
+    nodes = graph.nodes()
+    expected = ([gains[v] for v in nodes], [scores[v] for v in nodes], phi)
+    filter_ids = graph.compiled().to_ids(filters)
+    for backend_name in available_backends():
+        for tier in TIERS:
+            backend = tier_backend(backend_name, tier)
+            result = (
+                list(
+                    backend.sampled_marginal_gains_ids(
+                        graph, filter_ids, model=model
+                    )
+                ),
+                list(
+                    backend.sampled_simplified_impacts_ids(
+                        graph, filter_ids, model=model
+                    )
+                ),
+                backend.sampled_total_receipts(graph, filters, model=model),
+            )
+            assert result == expected, (
+                f"{case.name}/{mechanism}: sampled results of "
+                f"{backend_name}/{tier} diverged from the per-world dict "
+                "oracle"
+            )
 
 
 # ----------------------------------------------------------------------

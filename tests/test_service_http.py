@@ -220,3 +220,28 @@ def test_api_results_bit_identical_to_cli_every_dataset(dataset, scale):
         assert doc["result"] == cli_place_json(argv), dataset
     finally:
         app.close()
+
+
+def test_kept_alive_requests_do_not_stall(server):
+    # Headers and body must leave in one send: split, the body's small
+    # second segment waits out the client's delayed ACK (>= 40 ms on
+    # Linux) on every request of a kept-alive connection.
+    import http.client
+    import statistics
+    import time
+
+    connection = http.client.HTTPConnection(
+        "127.0.0.1", server.port, timeout=30
+    )
+    try:
+        latencies = []
+        for _ in range(10):
+            start = time.perf_counter()
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+            latencies.append(time.perf_counter() - start)
+    finally:
+        connection.close()
+    assert statistics.median(latencies) < 0.020, latencies

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backends.registry import available_backends
 from repro.bench.compare import sketch_error, sketch_speedup
+from repro.core.impact import marginal_gains_ids
 from repro.core.objective import objective_value
 from repro.core.registry import (
     SKETCH_CAPABLE_NAMES,
@@ -177,6 +179,25 @@ def test_rescore_tier_replaces_estimates_with_exact_gains():
     assert sum(s.gain for s in result.steps) == objective_value(
         graph, result.filters
     )
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_rescored_step_gains_equal_eager_gains_on_the_prefix(backend):
+    # The rescore evaluates each pick exactly as eager Greedy_All would
+    # have on the same prefix: I(f_i | {f_1, …, f_{i-1}}).  The picks on
+    # this 40-source graph interact, so a wrong prefix changes gains.
+    base = graph_of("synthetic-sparse", seed=0, scale=0.25)
+    graph = base.with_sources(base.nodes()[:40])
+    compiled = graph.compiled()
+    algorithm = SketchCelfGreedyAll(sketch_k=16, backend=backend)
+    assert len(graph.sources) > algorithm.sketch_k  # approximate regime
+    result = algorithm.place(graph, K)
+    assert result.rescored is True
+    assert len(result.steps) == K
+    for i, step in enumerate(result.steps):
+        prefix = compiled.to_ids(result.filters[:i])
+        gains = marginal_gains_ids(graph, prefix, backend=backend)
+        assert step.gain == gains[compiled.to_id(step.node)]
 
 
 def test_estimate_only_tier_keeps_float_gains():
