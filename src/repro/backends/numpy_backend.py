@@ -26,8 +26,8 @@ Like the python backend, this backend exposes two deterministic sweep
 **tiers**, chosen at construction and bit-identical by contract:
 
 * ``bitpack`` (default) — source reachability is packed into ``uint64``
-  words (64 sources per lane) and swept once per graph with
-  ``np.bitwise_or.reduceat`` popcount gathers; every evaluation then
+  words (64 sources per lane) and swept once per graph by the blocked
+  warm in :mod:`repro.propagation.reach`; every evaluation then
   runs **two** 1-D sweeps — the aggregate totals ``T(v) = Σ_s ψ_s(v)``
   and the suffix ``W`` — regardless of the source count, using
   ``I(v | A) = (T(v) − nreach(v)) · W(v)`` (``nreach`` is the packed
@@ -65,6 +65,7 @@ from repro.graphs.validation import validate_filter_set
 from repro.backends.probe import OVERFLOW_LIMIT, pick_representation
 from repro.backends.python_backend import PythonBackend, check_tier
 from repro.backends.sampled import SampledEvaluationMixin
+from repro.propagation.reach import _multi_arange
 
 Node = Hashable
 
@@ -271,19 +272,6 @@ class NumpyBackend(SampledEvaluationMixin):
             self._plans[graph] = plan
         return plan
 
-    def _multi_arange(self, starts: Any, lengths: Any) -> Any:
-        """Concatenate ``arange(start, start+length)`` runs, vectorized."""
-        np = self._np
-        keep = lengths > 0
-        starts, lengths = starts[keep], lengths[keep]
-        if starts.size == 0:
-            return np.empty(0, dtype=np.intp)
-        steps = np.ones(int(lengths.sum()), dtype=np.intp)
-        steps[0] = starts[0]
-        run_ends = np.cumsum(lengths)[:-1]
-        steps[run_ends] = starts[1:] - (starts[:-1] + lengths[:-1]) + 1
-        return np.cumsum(steps)
-
     def _build_plan(self, graph: CGraph) -> _Plan:
         """Adapt the shared compiled view for the vectorized sweeps.
 
@@ -337,11 +325,16 @@ class NumpyBackend(SampledEvaluationMixin):
         edge_level_starts = np.searchsorted(
             edge_level[edges_by_level], np.arange(num_levels + 1)
         )
-        source_idx = list(compiled.source_ids)
+        source_idx = np.array(compiled.source_ids, dtype=np.intp)
         col_to_row = np.full(n, -1, dtype=np.intp)
-        for row, si in enumerate(source_idx):
-            col_to_row[si] = row
+        col_to_row[source_idx] = np.arange(source_idx.size, dtype=np.intp)
         plan.col_to_row = col_to_row
+        # Source rows grouped by depth once (ascending rows within a
+        # depth), so each level slices out its origins.
+        origins_by_depth = np.argsort(depth[source_idx], kind="stable")
+        origin_starts = np.searchsorted(
+            depth[source_idx][origins_by_depth], np.arange(num_levels + 1)
+        )
         plan.src_bonus = (col_to_row >= 0).astype(np.int64)
 
         def group_starts(sorted_keys: Any) -> Any:
@@ -379,10 +372,9 @@ class NumpyBackend(SampledEvaluationMixin):
                 bwd_offsets = bwd_uniq_src = empty
                 fwd_edge_ids = bwd_edge_ids = empty
                 fwd_src_global = fwd_origin_sel = fwd_origin_row = empty
-            origin_rows = [
-                row for row, si in enumerate(source_idx) if depth[si] == lvl
+            origin_rows = origins_by_depth[
+                origin_starts[lvl]:origin_starts[lvl + 1]
             ]
-            origin_cols = [local_pos[source_idx[row]] for row in origin_rows]
             plan.levels.append(
                 _Level(
                     nodes=lvl_nodes,
@@ -392,8 +384,8 @@ class NumpyBackend(SampledEvaluationMixin):
                     bwd_dst=dst_global,
                     bwd_uniq_src=bwd_uniq_src,
                     bwd_offsets=bwd_offsets,
-                    origin_rows=np.array(origin_rows, dtype=np.intp),
-                    origin_cols=np.array(origin_cols, dtype=np.intp),
+                    origin_rows=origin_rows,
+                    origin_cols=local_pos[source_idx[origin_rows]],
                     fwd_edge_ids=fwd_edge_ids,
                     bwd_edge_ids=bwd_edge_ids,
                     fwd_src_global=fwd_src_global,
@@ -1224,13 +1216,13 @@ class NumpyGainSession:
     def _successors_of(self, cols: Any) -> Any:
         plan = self._plan
         counts = plan.out_offsets[cols + 1] - plan.out_offsets[cols]
-        pos = self._backend._multi_arange(plan.out_offsets[cols], counts)
+        pos = _multi_arange(self._np, plan.out_offsets[cols], counts)
         return plan.out_dst[pos]
 
     def _predecessors_of(self, cols: Any) -> Any:
         plan = self._plan
         counts = plan.in_offsets[cols + 1] - plan.in_offsets[cols]
-        pos = self._backend._multi_arange(plan.in_offsets[cols], counts)
+        pos = _multi_arange(self._np, plan.in_offsets[cols], counts)
         return plan.in_src[pos]
 
     def _forward_wave(self, start: int, dirty: Any, affected: Any) -> None:

@@ -2,8 +2,8 @@
 
 ``nreach[v] = #{s : ψ_s(v) > 0}`` is the per-graph constant every
 aggregate gain formula consumes (see
-:func:`repro.propagation.engine.aggregate_receipts_ids`).  PR 7/8 built
-it by materializing the full n×S source-reachability bitset matrix —
+:func:`repro.propagation.engine.aggregate_receipts_ids`).  It was first
+built by materializing the full n×S source-reachability bitset matrix —
 O(n·S/8) bytes resident, which at S ≈ 0.3n is the superquadratic warm
 wall the scale tier hit (3.4s at n=10^4 → 265s at 5·10^4,
 non-terminating at 10^5).
@@ -20,19 +20,28 @@ count, and reduce order.
 
 Two sweep engines, one contract:
 
-* **NumPy plane** — a ``(B/64, n)`` uint64 plane swept with
-  ``np.bitwise_or.reduceat`` over per-level in-CSR gathers (built once
-  per call, shared by every block).  The fast path whenever NumPy is
-  importable.
+* **NumPy plane** — the fast path whenever NumPy is importable.  One
+  node-major ``(n + 1, ⌈B/64⌉)`` uint64 plane whose rows run by
+  ``(depth, ⌈log2 in-degree⌉, id)``, so every level — and every
+  in-degree class inside it — is a contiguous row slice; row ``n``
+  stays all zero.  Per (level, class) a table of parent rows, padded
+  with the zero row, is built once per call and shared by every block:
+  the block ORs ``plane.take(table[j])`` into the class's row slice for
+  each parent slot ``j``.  Sources without children reach nothing and
+  never enter a block; the rest are sorted by the depth of their
+  shallowest child, and each block sweeps and popcounts only from its
+  first source's level down.  Each block clears its own source bits
+  before the popcount — a source never reaches itself in a DAG — so
+  the counts come out mark-free.
 * **Pure python** — :func:`repro.graphs.compiled.blocked_reach_counts`:
   the same windows as B-bit python ints, dependency-free.
 
 Independent blocks also shard over the cached ProcessPoolExecutor from
-:mod:`repro.propagation.parallel`: each worker sweeps one contiguous
-source range and returns raw popcount sums, the parent adds the int64
-vectors elementwise and applies the source-mark correction once.  The
-reduce is associative-commutative integer addition, so any worker count
-or completion order produces the identical counts.
+:mod:`repro.propagation.parallel`: worker ``w`` of ``W`` sweeps blocks
+``w, w + W, …`` of the serial order and returns its counts, and the
+parent adds the int64 vectors elementwise.  The reduce is
+associative-commutative integer addition, so any worker count or
+completion order produces the identical counts.
 
 Knobs ride the same :class:`~repro.scoping.ScopedDefault` pattern as the
 world-worker count — one process-wide default, thread-scoped overrides —
@@ -42,6 +51,7 @@ wired to the CLI's ``--reach-block`` / ``--warm-workers`` flags.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections.abc import Iterator
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any
@@ -145,6 +155,9 @@ def warm_reach_counts(
     ``block``/``workers`` default to the thread's scoped knobs
     (:func:`use_reach_block` / :func:`use_warm_workers`).  Results are
     bit-identical across every (engine, block, workers) combination.
+    The ``warm.reach`` span records which ``engine`` ran (``numpy``,
+    ``sharded`` or ``python``), how many sources it swept and in how
+    many blocks; ``fp_warm_reach_blocks_total`` counts the same blocks.
     """
     cached = compiled._reach_counts
     if cached is not None:
@@ -164,32 +177,40 @@ def warm_reach_counts(
         sources=num_sources,
         block=block,
         workers=workers,
-    ):
+    ) as record:
         np = _numpy_or_none()
         if np is None:
+            engine, swept = "python", num_sources
             counts = blocked_reach_counts(compiled, block)
-        elif (
-            workers > 1
-            and num_sources >= MIN_SOURCES_FOR_POOL
-            and num_sources > block
-        ):
-            counts = _sharded_reach_counts(np, compiled, block, workers)
         else:
-            raw = _plane_sweep_counts(
-                np,
-                compiled.n,
-                _as_int64(np, compiled.in_offsets),
-                _as_int64(np, compiled.in_sources),
-                _as_int64(np, compiled.topo_order),
-                list(compiled.level_offsets),
-                _as_int64(np, compiled.source_ids),
-                block,
+            tables = _sweep_tables(np, compiled)
+            sources, first_levels = _swept_sources(
+                np, tables, compiled.source_ids
             )
-            counts = _subtract_mark(np, raw, compiled).tolist()
+            swept = int(sources.size)
+            if (
+                workers > 1
+                and swept >= MIN_SOURCES_FOR_POOL
+                and swept > block
+            ):
+                engine = "sharded"
+                raw = _sharded_reach_counts(
+                    np, tables, sources, first_levels, block, workers
+                )
+            else:
+                engine = "numpy"
+                raw = _plane_sweep_counts(
+                    np, tables, sources, first_levels, block
+                )
+            counts = raw.tolist()
+        blocks = -(-swept // block)
+        record.set("engine", engine)
+        record.set("swept_sources", swept)
+        record.set("blocks", blocks)
     REGISTRY.counter(
         "fp_warm_reach_blocks_total",
         "Source blocks swept by the blocked reachability warm.",
-    ).inc(max(1, -(-num_sources // block)) if num_sources else 0)
+    ).inc(blocks)
     REGISTRY.histogram(
         "fp_warm_seconds",
         "Seconds spent warming per-graph reachability counts.",
@@ -201,13 +222,6 @@ def warm_reach_counts(
 def _as_int64(np, table) -> Any:
     """One contiguous int64 view/copy of a CSR table (list or ndarray)."""
     return np.ascontiguousarray(np.asarray(table, dtype=np.int64))
-
-
-def _subtract_mark(np, counts, compiled: "CompiledGraph"):
-    """Remove each source's own lane bit (``ψ_s(s) = 0`` in a DAG)."""
-    if compiled.source_ids:
-        counts[np.asarray(compiled.source_ids, dtype=np.intp)] -= 1
-    return counts
 
 
 def _multi_arange(np, starts, lengths):
@@ -223,141 +237,192 @@ def _multi_arange(np, starts, lengths):
     return np.cumsum(steps)
 
 
-def _level_gathers(np, n, in_offsets, in_sources, topo, level_offsets):
-    """Per-level in-CSR gather tables, built once and shared by blocks.
+def _sweep_tables(np, compiled: "CompiledGraph") -> tuple:
+    """``(n, in_offsets, in_sources, topo, level_offsets)`` as the sweep
+    reads them: the in-CSR and the level partition, int64 arrays."""
+    return (
+        compiled.n,
+        _as_int64(np, compiled.in_offsets),
+        _as_int64(np, compiled.in_sources),
+        _as_int64(np, compiled.topo_order),
+        _as_int64(np, compiled.level_offsets),
+    )
 
-    For each level L ≥ 1: the level's nodes, the concatenated
-    predecessors of those nodes (in-CSR order), and the ``reduceat``
-    segment starts.  Every level-L≥1 node has in-degree ≥ 1 (its depth
-    is a longest path), so segments are non-empty — ``reduceat``-safe —
-    but zero-degree nodes are filtered defensively anyway.
+
+def _swept_sources(np, tables: tuple, source_ids) -> tuple:
+    """The sources a block sweeps, ordered by their first level.
+
+    A source's *first level* is the depth of its shallowest child: no
+    node above it is reachable from the source.  Sinks (no children)
+    reach nothing and are dropped.  Reads only the sweep ``tables`` —
+    each in-CSR edge carries its child's depth to its parent.  Returns
+    ``(sources, first_levels)`` as int64 arrays, stably sorted by first
+    level, so a block's first source carries the block's shallowest
+    level.
     """
-    gathers = []
-    for lvl in range(1, len(level_offsets) - 1):
-        nodes = topo[level_offsets[lvl]:level_offsets[lvl + 1]]
-        counts = in_offsets[nodes + 1] - in_offsets[nodes]
-        has = counts > 0
-        if not has.all():
-            nodes, counts = nodes[has], counts[has]
-        if not nodes.size:
+    n, in_offsets, in_sources, topo, level_offsets = tables
+    levels = level_offsets.size - 1
+    depth = np.empty(n, dtype=np.int64)
+    depth[topo] = np.repeat(np.arange(levels), np.diff(level_offsets))
+    first = np.full(n, levels, dtype=np.int64)  # ``levels``: no child
+    np.minimum.at(first, in_sources, np.repeat(depth, np.diff(in_offsets)))
+    src = _as_int64(np, source_ids)
+    src = src[first[src] < levels]
+    src = src[np.argsort(first[src], kind="stable")]
+    return src, first[src]
+
+
+def _row_layout(np, tables: tuple):
+    """The node-major plane's row order and its per-group parent tables.
+
+    Rows run by ``(depth, ⌈log2 in-degree⌉, id)``, so every level is a
+    contiguous row slice and so is every in-degree class inside it; row
+    ``n`` stays all zero.  Returns ``(node_of_row, row_of, groups)``
+    where each group ``(level, lo, hi, table)`` covers rows
+    ``lo:hi`` of one (level ≥ 1, class) pair and ``table[j]`` holds the
+    ``j``-th parent row of each of them — padded with the zero row up
+    to the group's largest in-degree (at most twice any member's).
+    """
+    n, in_offsets, in_sources, topo, level_offsets = tables
+    indeg = in_offsets[1:] - in_offsets[:-1]
+    # ⌈log2 d⌉ is the bit length of d − 1: frexp's exponent, 0 for d ≤ 1.
+    klass = np.frexp(np.maximum(indeg - 1, 0).astype(np.float64))[1]
+    level = np.repeat(
+        np.arange(level_offsets.size - 1), np.diff(level_offsets)
+    )
+    node_of_row = topo[np.lexsort((klass[topo], level))]
+    row_of = np.empty(n + 1, dtype=np.intp)
+    row_of[node_of_row] = np.arange(n)
+    row_of[n] = n
+    row_klass = klass[node_of_row]
+    cuts = np.flatnonzero(
+        (level[1:] != level[:-1]) | (row_klass[1:] != row_klass[:-1])
+    ) + 1
+    first_row = int(level_offsets[1]) if level_offsets.size > 2 else n
+    bounds = [first_row, *cuts[cuts > first_row].tolist(), n]
+    groups = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo == hi:
             continue
-        parents = in_sources[_multi_arange(np, in_offsets[nodes], counts)]
-        seg_starts = np.concatenate(
-            ([0], np.cumsum(counts)[:-1])
-        ).astype(np.intp)
-        gathers.append((nodes.astype(np.intp), parents.astype(np.intp),
-                        seg_starts))
-    return gathers
+        nodes = node_of_row[lo:hi]
+        degree = indeg[nodes]
+        table = np.full((int(degree.max()), hi - lo), n, dtype=np.intp)
+        starts = in_offsets[nodes]
+        pos = _multi_arange(np, starts, degree)
+        table[
+            pos - np.repeat(starts, degree),
+            np.repeat(np.arange(hi - lo), degree),
+        ] = row_of[in_sources[pos]]
+        groups.append((int(level[lo]), lo, hi, table))
+    return node_of_row, row_of, groups
 
 
-def _popcount_columns(np, packed):
-    """Per-column popcount totals of a ``(lanes, n)`` uint64 plane."""
+def _popcount_rows(np, plane):
+    """Per-row popcount totals of a ``(rows, words)`` uint64 plane."""
     if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return np.bitwise_count(packed).sum(axis=0, dtype=np.int64)
-    bits = np.unpackbits(packed.view(np.uint8), axis=1)
-    return bits.reshape(packed.shape[0], -1, 64).sum(
-        axis=(0, 2), dtype=np.int64
-    )
+        return np.bitwise_count(plane).sum(axis=1, dtype=np.int64)
+    byte_bits = np.array([bin(b).count("1") for b in range(256)],
+                         dtype=np.uint8)
+    return byte_bits[plane.view(np.uint8)].sum(axis=1, dtype=np.int64)
 
 
-def _plane_sweep_counts(
-    np,
-    n: int,
-    in_offsets,
-    in_sources,
-    topo,
-    level_offsets,
-    sources,
-    block: int,
-):
-    """Raw blocked popcount sums (source mark **not** subtracted).
+def _plane_sweep_counts(np, tables: tuple, sources, first_levels, block):
+    """Blocked reach counts of ``sources``, in node-id order.
 
-    The engine both the serial path and the shard workers run: one
-    ``(lanes, n)`` uint64 plane per source block, swept level by level
-    with ``bitwise_or.reduceat`` over the shared in-CSR gathers, then
-    popcounted into the int64 accumulator and dropped.
+    The engine both the serial path and the shard workers run.
+    ``sources`` must be sorted by ``first_levels`` (see
+    :func:`_swept_sources`).  Each block of ``block`` lanes sets its
+    sources' own bits in one node-major ``(n + 1, ⌈block/64⌉)`` uint64
+    plane, ORs parent rows into each (level, class) row slice from the
+    block's first level down, clears the own bits again — a source never
+    reaches itself in a DAG, so what remains is exactly ``nreach`` —
+    popcounts the swept rows into the int64 accumulator and zeroes them
+    for the next block.
     """
-    counts = np.zeros(n, dtype=np.int64)
-    num_sources = int(sources.size)
-    if not num_sources or not n:
-        return counts
-    gathers = _level_gathers(
-        np, n, in_offsets, in_sources, topo, level_offsets
-    )
-    src = sources.astype(np.intp)
-    for start in range(0, num_sources, block):
-        chunk = src[start:start + block]
-        width = int(chunk.size)
-        lanes = (width + 63) // 64
-        plane = np.zeros((lanes, n), dtype=np.uint64)
-        rows = np.arange(width, dtype=np.uint64)
-        plane[(rows >> np.uint64(6)).astype(np.intp), chunk] = (
-            np.uint64(1) << (rows & np.uint64(63))
-        )
-        for nodes, parents, seg_starts in gathers:
-            plane[:, nodes] |= np.bitwise_or.reduceat(
-                plane[:, parents], seg_starts, axis=1
-            )
-        counts += _popcount_columns(np, plane)
+    n, level_offsets = tables[0], tables[4]
+    if not sources.size:
+        return np.zeros(n, dtype=np.int64)
+    node_of_row, row_of, groups = _row_layout(np, tables)
+    group_levels = [lvl for lvl, _, _, _ in groups]
+    lanes = np.arange(min(block, sources.size))
+    words = lanes >> 6
+    bits = np.left_shift(np.uint64(1), (lanes & 63).astype(np.uint64))
+    plane = np.zeros((n + 1, (lanes.size + 63) // 64), dtype=np.uint64)
+    by_row = np.zeros(n, dtype=np.int64)
+    for start in range(0, sources.size, block):
+        rows = row_of[sources[start:start + block]]
+        own = (rows, words[:rows.size])
+        plane[own] = bits[:rows.size]
+        first = int(first_levels[start])
+        for _, lo, hi, table in groups[bisect_left(group_levels, first):]:
+            dest = plane[lo:hi]
+            for parents in table:
+                dest |= plane.take(parents, axis=0)
+        plane[own] &= ~bits[:rows.size]
+        base = int(level_offsets[first])
+        by_row[base:] += _popcount_rows(np, plane[base:n])
+        # Rows above ``base`` only ever held the own bits just cleared.
+        plane[base:n] = 0
+    counts = np.empty(n, dtype=np.int64)
+    counts[node_of_row] = by_row
     return counts
 
 
 # ----------------------------------------------------------------------
-# Process-parallel sharding (contiguous source ranges, exact reduce)
+# Process-parallel sharding (blocks dealt round-robin, exact reduce)
 # ----------------------------------------------------------------------
 
 
 def _reach_shard_worker(payload: tuple) -> bytes:
-    """Sweep one contiguous source range in a worker process.
+    """Sweep one shard's blocks in a worker process.
 
-    ``payload`` ships the raw in-CSR and topo tables as native-endian
+    ``payload`` ships the in-CSR, topo and level tables as native-endian
     int64 bytes — *not* a :func:`~repro.propagation.parallel.graph_spec`,
     which would materialize every edge as a python tuple and defeat the
-    streamed tiers.  Returns the shard's raw popcount sums as int64
-    bytes; the parent owns the source-mark correction.
+    streamed tiers — plus the shard's sources and their first levels.
+    Returns the shard's counts as int64 bytes.
     """
-    (n, in_off_b, in_src_b, topo_b, level_offsets, src_b, lo, hi,
-     block) = payload
+    n, table_bytes, src_b, first_b, block = payload
     import numpy as np
 
-    in_offsets = np.frombuffer(in_off_b, dtype=np.int64)
-    in_sources = np.frombuffer(in_src_b, dtype=np.int64)
-    topo = np.frombuffer(topo_b, dtype=np.int64)
-    sources = np.frombuffer(src_b, dtype=np.int64)[lo:hi]
+    tables = (n, *(np.frombuffer(b, dtype=np.int64) for b in table_bytes))
     counts = _plane_sweep_counts(
-        np, n, in_offsets, in_sources, topo, level_offsets, sources, block
+        np,
+        tables,
+        np.frombuffer(src_b, dtype=np.int64),
+        np.frombuffer(first_b, dtype=np.int64),
+        block,
     )
     return counts.tobytes()
 
 
 def _sharded_reach_counts(
-    np, compiled: "CompiledGraph", block: int, workers: int
-) -> list:
-    """Shard contiguous source ranges over the cached process pool.
+    np, tables: tuple, sources, first_levels, block: int, workers: int
+):
+    """Deal the serial sweep's blocks round-robin over the process pool.
 
-    Each worker returns an independent int64 popcount vector; the parent
-    sums them elementwise (exact integer addition — any worker count or
-    completion order yields bit-identical totals) and subtracts the
-    source mark exactly once.
+    Worker ``w`` sweeps blocks ``w, w + workers, …`` — the serial
+    blocks exactly, so each worker sees both shallow and deep blocks.
+    Each returns an independent int64 count vector; the parent sums
+    them elementwise (exact integer addition — any worker count or
+    completion order yields bit-identical totals).
     """
-    from repro.propagation.parallel import (
-        _drop_pool,
-        _get_pool,
-        shard_ranges,
-    )
+    from repro.propagation.parallel import _drop_pool, _get_pool
 
-    n = compiled.n
-    src = _as_int64(np, compiled.source_ids)
-    tables = (
-        n,
-        _as_int64(np, compiled.in_offsets).tobytes(),
-        _as_int64(np, compiled.in_sources).tobytes(),
-        _as_int64(np, compiled.topo_order).tobytes(),
-        list(compiled.level_offsets),
-        src.tobytes(),
-    )
-    ranges = shard_ranges(len(compiled.source_ids), workers)
-    payloads = [tables + (lo, hi, block) for lo, hi in ranges]
+    n = tables[0]
+    blocks = -(-int(sources.size) // block)
+    deal = (np.arange(sources.size) // block) % workers
+    table_bytes = tuple(t.tobytes() for t in tables[1:])
+    payloads = []
+    for w in range(min(workers, blocks)):
+        mine = deal == w
+        payloads.append((
+            n,
+            table_bytes,
+            sources[mine].tobytes(),
+            first_levels[mine].tobytes(),
+            block,
+        ))
     pool = _get_pool(workers)
     try:
         futures = [pool.submit(_reach_shard_worker, p) for p in payloads]
@@ -373,4 +438,4 @@ def _sharded_reach_counts(
     counts = np.zeros(n, dtype=np.int64)
     for shard in shards:
         counts += np.frombuffer(shard, dtype=np.int64)
-    return _subtract_mark(np, counts, compiled).tolist()
+    return counts

@@ -24,6 +24,8 @@ no-numpy CI job fuzzes the pure-Python engine alone.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import oracle_dictpath as oracle
@@ -31,6 +33,7 @@ from strategies import DagCase, standard_cases
 from repro.backends.python_backend import TIERS
 from repro.backends.registry import available_backends, build_backend
 from repro.core.registry import STRATEGY_NAMES, get_algorithm
+from repro.graphs.cgraph import CGraph
 from repro.propagation.model import PropagationModel
 from repro.propagation.sampling import get_worlds
 
@@ -264,22 +267,31 @@ def _numpy_plane_counts(compiled, block: int) -> "list[int] | None":
     if np is None:
         return None
     from repro.propagation.reach import (
-        _as_int64,
         _plane_sweep_counts,
-        _subtract_mark,
+        _sweep_tables,
+        _swept_sources,
     )
 
-    raw = _plane_sweep_counts(
-        np,
-        compiled.n,
-        _as_int64(np, compiled.in_offsets),
-        _as_int64(np, compiled.in_sources),
-        _as_int64(np, compiled.topo_order),
-        list(compiled.level_offsets),
-        _as_int64(np, compiled.source_ids),
-        block,
+    tables = _sweep_tables(np, compiled)
+    sources, first_levels = _swept_sources(np, tables, compiled.source_ids)
+    return _plane_sweep_counts(
+        np, tables, sources, first_levels, block
+    ).tolist()
+
+
+def _sharded_plane_counts(np, compiled, block: int, workers: int):
+    """The sharded engine's counts at ``block`` over ``workers``."""
+    from repro.propagation.reach import (
+        _sharded_reach_counts,
+        _sweep_tables,
+        _swept_sources,
     )
-    return _subtract_mark(np, raw, compiled).tolist()
+
+    tables = _sweep_tables(np, compiled)
+    sources, first_levels = _swept_sources(np, tables, compiled.source_ids)
+    return _sharded_reach_counts(
+        np, tables, sources, first_levels, block, workers
+    ).tolist()
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
@@ -306,14 +318,13 @@ def test_sharded_reach_counts_bit_identical_across_workers(workers):
     if np is None:
         pytest.skip("sharding is the NumPy engine's axis")
     from repro.graphs.compiled import packed_reach_counts
-    from repro.propagation.reach import _sharded_reach_counts
 
     for case in CASES:
         graph = case_graph(case)
         compiled = graph.compiled()
         if not compiled.source_ids:
             continue
-        sharded = _sharded_reach_counts(np, compiled, 2, workers)
+        sharded = _sharded_plane_counts(np, compiled, 2, workers)
         assert sharded == packed_reach_counts(compiled), (
             f"{case.name}: sharded counts diverged at {workers} workers"
         )
@@ -339,3 +350,121 @@ def test_warm_reach_counts_caches_and_matches_backends():
         if expected is None:
             expected = counts
         assert counts == expected
+
+
+#: Source sets over :func:`_reach_edge_graph`'s one edge set.
+REACH_EDGE_CASES = ("sources-with-parents", "sink-sources", "sinks-only",
+                    "mixed")
+
+
+def _reach_edge_graph(case: str) -> CGraph:
+    """Reach corner cases the seeded corpus never builds.
+
+    The corpus only draws edges into ids at or above its source count,
+    so every explicit source sits at depth 0.  Here sources sit below
+    the roots, on sinks, or only on sinks, and node 120 merges 90
+    parents — an in-degree past one 64-lane word.
+    """
+    rng = random.Random(20)
+    n = 150
+    edges = {
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.03
+    }
+    edges |= {(i, 120) for i in range(90)}
+    edges |= {(120, j) for j in (121, 133, 149)}
+    nodes = range(n + 4)  # the last four are isolated
+    has_out = {u for u, _ in edges}
+    has_in = {v for _, v in edges}
+    sinks = [v for v in nodes if v not in has_out]
+    sources = {
+        "sources-with-parents": [
+            v for v in nodes if v in has_in and v in has_out
+        ][::2],
+        "sink-sources": [v for v in nodes if v not in has_in] + sinks[::2],
+        "sinks-only": sinks,
+        "mixed": rng.sample(list(nodes), 70),
+    }[case]
+    return CGraph(sorted(edges), nodes=nodes, sources=sources)
+
+
+@pytest.mark.parametrize("case", REACH_EDGE_CASES)
+@pytest.mark.parametrize("block", REACH_BLOCKS)
+@pytest.mark.parametrize("workers", (1, 2))
+def test_reach_counts_on_sources_the_corpus_never_draws(case, block, workers):
+    from repro.graphs.compiled import (
+        blocked_reach_counts,
+        packed_reach_counts,
+    )
+    from repro.propagation.reach import warm_reach_counts
+
+    graph = _reach_edge_graph(case)
+    compiled = graph.compiled()
+    assert max(compiled.in_degree) >= 65
+    expected = _oracle_reach_counts(graph)
+    assert packed_reach_counts(compiled) == expected
+    assert blocked_reach_counts(compiled, block) == expected
+    np = _numpy_or_none()
+    if np is not None:
+        if workers == 1:
+            plane = _numpy_plane_counts(compiled, block)
+        else:
+            plane = _sharded_plane_counts(np, compiled, block, workers)
+        assert plane == expected
+    assert (
+        warm_reach_counts(compiled, block=block, workers=workers) == expected
+    )
+
+
+class _NoBitwiseCount:
+    """A NumPy stand-in without ``bitwise_count``, as before NumPy 2.0."""
+
+    def __init__(self, np) -> None:
+        self._np = np
+
+    def __getattr__(self, name: str):
+        if name == "bitwise_count":
+            raise AttributeError(name)
+        return getattr(self._np, name)
+
+
+def test_reach_popcount_fallback_matches_bitwise_count():
+    np = _numpy_or_none()
+    if np is None:
+        pytest.skip("the popcount fallback is the NumPy engine's")
+    from repro.propagation.reach import (
+        _plane_sweep_counts,
+        _popcount_rows,
+        _sweep_tables,
+        _swept_sources,
+    )
+
+    legacy = _NoBitwiseCount(np)
+    assert not hasattr(legacy, "bitwise_count")
+    rng = np.random.default_rng(5)
+    plane = rng.integers(
+        0, 2**64 - 1, size=(257, 3), dtype=np.uint64, endpoint=True
+    )
+    plane[0] = 0
+    plane[1] = np.iinfo(np.uint64).max
+    by_bits = [sum(bin(int(w)).count("1") for w in row) for row in plane]
+    assert _popcount_rows(legacy, plane).tolist() == by_bits
+    assert _popcount_rows(np, plane).tolist() == by_bits
+    for case in REACH_EDGE_CASES:
+        graph = _reach_edge_graph(case)
+        compiled = graph.compiled()
+        tables = _sweep_tables(np, compiled)
+        sources, first_levels = _swept_sources(
+            np, tables, compiled.source_ids
+        )
+        for block in (3, 65):
+            fallback = _plane_sweep_counts(
+                legacy, tables, sources, first_levels, block
+            )
+            native = _plane_sweep_counts(
+                np, tables, sources, first_levels, block
+            )
+            assert fallback.tolist() == native.tolist()
+            assert native.tolist() == _oracle_reach_counts(graph)

@@ -405,3 +405,41 @@ def test_cli_trace_flag_does_not_leak_enabled_state(capsys):
     main(["place", "--dataset", "fig10", "-k", "1",
           "--backend", "python", "--trace"])
     assert not TRACER.enabled
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_warm_reach_span_and_counter_report_swept_blocks(workers):
+    """Sink sources never enter a block: the ``warm.reach`` span and
+    ``fp_warm_reach_blocks_total`` both count the blocks swept."""
+    from repro.graphs.cgraph import CGraph
+    from repro.graphs.compiled import packed_reach_counts
+    from repro.propagation.reach import warm_reach_counts
+
+    # Sources 0..699 feed interior nodes 800..899; 700..799 are sinks.
+    edges = {(s, 800 + (7 * s) % 100) for s in range(700)}
+    edges |= {(s, 800 + (13 * s + 5) % 100) for s in range(700)}
+    edges |= {(i, i + 1) for i in range(800, 899, 3)}
+    graph = CGraph(sorted(edges), nodes=range(900), sources=range(800))
+    compiled = graph.compiled()
+    counter = REGISTRY.counter(
+        "fp_warm_reach_blocks_total",
+        "Source blocks swept by the blocked reachability warm.",
+    )
+    before = counter.value()
+    TRACER.enable()
+    with TRACER.trace(trace_id="t-warm-reach") as trace:
+        counts = warm_reach_counts(compiled, block=64, workers=workers)
+    (record,) = trace.roots
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        engine, swept = "python", 800
+    else:
+        engine, swept = ("sharded" if workers > 1 else "numpy"), 700
+    blocks = -(-swept // 64)
+    assert record.name == "warm.reach"
+    assert {
+        key: record.attrs[key] for key in ("engine", "swept_sources", "blocks")
+    } == {"engine": engine, "swept_sources": swept, "blocks": blocks}
+    assert counter.value() == before + blocks
+    assert counts == packed_reach_counts(compiled)
