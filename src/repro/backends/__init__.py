@@ -7,8 +7,9 @@ protocol:
 
 * ``python`` — the exact arbitrary-precision reference engine
   (:class:`~repro.backends.python_backend.PythonBackend`).
-* ``numpy`` — the levelized, batched int64 engine with automatic
-  fallback to the exact path on overflow risk
+* ``numpy`` — the levelized, batched int64 engine; past int64 its
+  bitpack sweeps carry base-``2**32`` limbs, and what has no limb path
+  falls back to the exact engine
   (:class:`~repro.backends.numpy_backend.NumpyBackend`).
 * ``auto`` — ``numpy`` when available, else ``python``.
 

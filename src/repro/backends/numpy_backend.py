@@ -44,13 +44,29 @@ and can overrun int64 silently.  At plan-build time the backend runs the
 same recurrences once in float64 with ``A = ∅`` — an upper bound for every
 filter set, because adding filters only ever shrinks ``ψ`` and ``W`` — and
 feeds the bounds to the shared dtype-probe ladder
-(:func:`repro.backends.probe.pick_representation`).  If any bound crosses
-:data:`~repro.backends.probe.OVERFLOW_LIMIT`, the plan is marked
-exact-only and every call transparently delegates to
-:class:`~repro.backends.python_backend.PythonBackend`, whose big integers
-cannot overflow.  Weighted queries re-check the bound against the supplied
-item weights.  The equivalence tests assert bit-identical results across
-the two paths either way.
+(:mod:`repro.backends.probe`).  The verdict is one of:
+
+* ``int32`` / ``int64`` — every receipt total, suffix and product stays
+  below :data:`~repro.backends.probe.OVERFLOW_LIMIT`; the sweeps and
+  their products run on int64 rows.
+* ``limbs`` — something crosses the limit (``plan.exact_only``: int64 is
+  unsafe) but every probe value is finite.  ``T`` and ``W`` each take
+  their own :func:`~repro.backends.probe.limb_count` from their bound,
+  and the bitpack sweeps carry them as ``(k, n)`` int64 arrays of
+  base-``2**32`` limbs, carrying over each level's destinations.  The
+  products ``(T − nreach)·W``, ``T·dout`` and ``T·weight`` are taken on
+  Python ints built from the limbs (``hi << 32`` plus ``lo``), so the
+  answers stay exact while the sweeps stay in numpy.
+* ``exact`` — the probe itself overflowed float64 (values of
+  ``2**1024`` or more, or ``inf·0 = NaN``): every call delegates to
+  :class:`~repro.backends.python_backend.PythonBackend`, whose big
+  integers cannot overflow.
+
+What has no limb sweep still delegates whenever ``plan.exact_only`` is
+set: the ``lanes`` tier, gain sessions, sampled models and per-source
+weight mappings.  Uniform weights are multiplied in on the limb path;
+per-source mappings re-check the bound against the supplied weights.
+The equivalence tests assert bit-identical results across every route.
 """
 
 from __future__ import annotations
@@ -62,7 +78,12 @@ from typing import Any, Hashable
 from repro.exceptions import MissingSourceError
 from repro.graphs.cgraph import CGraph
 from repro.graphs.validation import validate_filter_set
-from repro.backends.probe import OVERFLOW_LIMIT, pick_representation
+from repro.backends.probe import (
+    LIMB_BITS,
+    OVERFLOW_LIMIT,
+    limb_count,
+    pick_representation,
+)
 from repro.backends.python_backend import PythonBackend, check_tier
 from repro.backends.sampled import SampledEvaluationMixin
 from repro.propagation.reach import _multi_arange
@@ -89,6 +110,49 @@ def numpy_available() -> bool:
         else:
             _NUMPY_AVAILABLE = True
     return _NUMPY_AVAILABLE
+
+
+def _count_representation(site: str, representation: str) -> None:
+    """Record one probe verdict in ``fp_probe_representation_total``."""
+    from repro.obs.metrics import REGISTRY
+
+    REGISTRY.counter(
+        "fp_probe_representation_total",
+        "Overflow-probe verdicts by site (plan / sampled) and "
+        "representation.",
+        labels=("site", "representation"),
+    ).inc(site=site, representation=representation)
+
+
+_LIMB_MASK = (1 << LIMB_BITS) - 1
+
+
+def _carry(limbs: list) -> None:
+    """Normalize one level's limb rows in place, lowest limb first.
+
+    Every row but the top ends below ``2**32``; what it held above moves
+    up one limb.  Before the carry a lower row holds at most
+    (in-degree + 1)·``2**32`` — a level's sum of emissions of at most
+    ``2**32`` each, plus what the row already held — far below int64's
+    ceiling; the probe bounds the top row.
+    """
+    for low, high in zip(limbs, limbs[1:]):
+        high += low >> LIMB_BITS
+        low &= _LIMB_MASK
+
+
+def _limb_ints(limbs: Any) -> list[int]:
+    """The ``(k, n)`` limb array as ``n`` exact Python ints.
+
+    Folds from the top limb down with ``+`` rather than ``|``, so a
+    lower limb may be negative (``T − nreach`` borrows from limb 0).
+    """
+    values = limbs[-1].tolist()
+    for row in limbs[-2::-1]:
+        values = [
+            (high << LIMB_BITS) + low for high, low in zip(values, row.tolist())
+        ]
+    return values
 
 
 @dataclass
@@ -183,6 +247,8 @@ class _Plan:
     prod_bound: float = 0.0
     #: max over v of Σ_s ψ_∅(v) — bounds every per-node receipt total.
     psi_bound: float = 0.0
+    #: max over v of W_∅(v) — bounds every absorbing suffix.
+    w_bound: float = 0.0
     #: max over (level, item) of the level's total forward emission, and
     #: max over levels of Σ (1 + W_∅(dst)) — bounds of the *cumulative*
     #: segment sums the sampled sweeps run per level (their prefix-sum
@@ -193,8 +259,17 @@ class _Plan:
     #: 1-D plan probe never materializes the (num_sources, n) matrix.
     fwd_levelsum_bound: "float | None" = None
     bwd_levelsum_bound: float = 0.0
-    #: When True the int64 path is unsafe; delegate to the exact backend.
+    #: When True the int64 path is unsafe: the bitpack sweeps carry
+    #: limbs, and everything without limb sweeps delegates to the exact
+    #: backend.
     exact_only: bool = False
+    #: The probe's verdict: ``int32``, ``int64``, ``limbs`` or ``exact``
+    #: (a non-finite probe — every query delegates).
+    representation: str = "int64"
+    #: Base-2**32 limbs the T and W sweeps carry: 1 unless
+    #: ``exact_only``, None for a non-finite bound.
+    t_limbs: "int | None" = 1
+    w_limbs: "int | None" = 1
 
     @property
     def n(self) -> int:
@@ -262,13 +337,22 @@ class NumpyBackend(SampledEvaluationMixin):
         """The (cached) levelization plan for ``graph``.
 
         Public for two callers beyond the backend itself: tests inspect
-        ``plan.exact_only`` (whether the overflow probe forced this graph
-        onto the exact path), and the bench harness calls it to warm the
-        cache outside its timed region.
+        ``plan.exact_only`` / ``plan.representation`` (the overflow
+        probe's verdict), and the bench harness calls it to warm the
+        cache outside its timed region.  A build runs in a
+        ``backends.plan`` span carrying the verdict and the limb counts,
+        and counts the verdict in ``fp_probe_representation_total``.
         """
         plan = self._plans.get(graph)
         if plan is None:
-            plan = self._build_plan(graph)
+            from repro.obs.trace import span
+
+            with span("backends.plan", backend=self.name) as record:
+                plan = self._build_plan(graph)
+                record.set("representation", plan.representation)
+                record.set("t_limbs", plan.t_limbs)
+                record.set("w_limbs", plan.w_limbs)
+            _count_representation("plan", plan.representation)
             self._plans[graph] = plan
         return plan
 
@@ -439,6 +523,7 @@ class NumpyBackend(SampledEvaluationMixin):
         # until _fwd_levelsum — the sampled-state builder's lazy path.
         plan.bwd_levelsum_bound = bwd_levelsum
         plan.psi_bound = float(totals.max()) if n else 0.0
+        plan.w_bound = float(w.max()) if n else 0.0
         plan.prod_bound = float((totals * w).max()) if n else 0.0
         # Φ itself needs no bound: total_receipts sums Python ints from
         # .tolist(), so only per-entry/per-node int64 values can overflow,
@@ -449,9 +534,16 @@ class NumpyBackend(SampledEvaluationMixin):
         # with astronomical W.  The shared ladder treats NaN and inf as
         # overflow (NaN comparisons are always False, so they must never
         # be compared directly).
-        plan.exact_only = pick_representation(
-            plan.psi_bound, plan.prod_bound
-        ).exact_only
+        verdict = pick_representation(plan.psi_bound, plan.prod_bound)
+        plan.exact_only = verdict.exact_only
+        plan.representation = verdict.representation
+        if plan.exact_only:
+            # int64 is unsafe: T and W each get the limbs their own
+            # bound needs; a non-finite one leaves only the exact engine.
+            plan.t_limbs = limb_count(plan.psi_bound)
+            plan.w_limbs = limb_count(plan.w_bound)
+            if plan.t_limbs is not None and plan.w_limbs is not None:
+                plan.representation = "limbs"
 
     def _fwd_levelsum(self, plan: _Plan) -> float:
         """The per-item forward level-sum bound (lazy; cached on the plan).
@@ -512,34 +604,47 @@ class NumpyBackend(SampledEvaluationMixin):
             mask[ids] = True
         return mask
 
-    def _gains_array(self, plan: _Plan, mask: Any) -> Any:
-        """``I(v | A)`` as an int64 array for a prepared boolean mask.
+    def _gains_list(self, plan: _Plan, mask: Any) -> list[int]:
+        """``I(v | A)`` as exact ints for a prepared boolean mask.
 
-        The bitpack tier computes ``(T − nreach) · W`` (two 1-D sweeps);
-        the lanes tier sums ``max(ψ_s − 1, 0)`` over the ψ matrix (one
-        row per source).  Bit-identical: ``ψ_s(v) ≥ 1`` exactly when
-        ``s`` reaches ``v``, for every filter set.
+        The bitpack tier computes ``(T − nreach) · W`` (two 1-D sweeps):
+        an int64 product when the probe allows, else Python-int products
+        of the limb sweeps.  The lanes tier (int64 plans only) sums
+        ``max(ψ_s − 1, 0)`` over the ψ matrix (one row per source).
+        Bit-identical: ``ψ_s(v) ≥ 1`` exactly when ``s`` reaches ``v``,
+        for every filter set.
         """
         np = self._np
-        w = self._suffix_vector(plan, mask)
+        w = self._suffix_limbs(plan, mask)
         if self.tier == "bitpack":
-            totals = self._totals_vector(plan, mask)
-            gains = (totals - self._nreach(plan)) * w
+            surplus = self._totals_limbs(plan, mask)
+            surplus[0] -= self._nreach(plan)
         else:
             psi = self._psi_matrix(plan, mask)
-            surplus = psi - 1
-            np.maximum(surplus, 0, out=surplus)
-            gains = surplus.sum(axis=0) * w
+            np.subtract(psi, 1, out=psi)
+            np.maximum(psi, 0, out=psi)
+            surplus = psi.sum(axis=0)[None, :]
+        if plan.exact_only:
+            w[:, mask] = 0
+            return [
+                s * x for s, x in zip(_limb_ints(surplus), _limb_ints(w))
+            ]
+        gains = surplus[0] * w[0]
         gains[mask] = 0
-        return gains
+        return gains.tolist()
 
-    def _impact_scores(self, plan: _Plan, mask: Any) -> Any:
-        """``I'(v) = T(v) · dout(v)`` as an int64 array (tier-dispatched)."""
+    def _impact_list(self, plan: _Plan, mask: Any) -> list[int]:
+        """``I'(v) = T(v) · dout(v)`` as exact ints (tier-dispatched)."""
         if self.tier == "bitpack":
-            totals = self._totals_vector(plan, mask)
+            totals = self._totals_limbs(plan, mask)
         else:
-            totals = self._psi_matrix(plan, mask).sum(axis=0)
-        return totals * plan.out_degree
+            totals = self._psi_matrix(plan, mask).sum(axis=0)[None, :]
+        if plan.exact_only:
+            return [
+                t * d
+                for t, d in zip(_limb_ints(totals), plan.out_degree.tolist())
+            ]
+        return (totals[0] * plan.out_degree).tolist()
 
     def _psi_matrix(self, plan: _Plan, mask: Any) -> Any:
         """``ψ`` for all sources at once: shape ``(num_sources, n)``."""
@@ -565,15 +670,40 @@ class NumpyBackend(SampledEvaluationMixin):
             )
         return psi
 
-    def _suffix_vector(self, plan: _Plan, mask: Any) -> Any:
-        """``W`` (item-independent) in one backward sweep: shape ``(n,)``."""
+    def _suffix_limbs(self, plan: _Plan, mask: Any) -> Any:
+        """``W`` (item-independent) in one backward sweep.
+
+        Shape ``(k, n)``: ``k = plan.w_limbs`` base-``2**32`` limbs, one
+        int64 row each (``k = 1`` on int64 plans).  Each node's
+        contribution to its parents, ``C(u) = 1 + [u ∉ A] · W(u)``, is
+        kept per node: ``W(u)`` is final once ``u``'s level is swept (its
+        children all sit deeper), so each level stores its sources' ``C``
+        once and every shallower level gathers it edge by edge — one
+        gather and one ``reduceat`` per limb and level.  Sinks contribute
+        exactly one, the initial value.
+        """
         np = self._np
-        w = np.zeros(plan.n, dtype=np.int64)
+        k = plan.w_limbs
+        w = np.zeros((k, plan.n), dtype=np.int64)
+        contrib = np.zeros((k, plan.n), dtype=np.int64)
+        contrib[0] = 1
+        w_rows, c_rows = list(w), list(contrib)
         for lvl in reversed(plan.levels):
             if not lvl.has_edges:
                 continue
-            contrib = 1 + np.where(mask[lvl.bwd_dst], 0, w[lvl.bwd_dst])
-            w[lvl.bwd_uniq_src] += np.add.reduceat(contrib, lvl.bwd_offsets)
+            src = lvl.bwd_uniq_src
+            sums = [
+                np.add.reduceat(row[lvl.bwd_dst], lvl.bwd_offsets)
+                for row in c_rows
+            ]
+            _carry(sums)
+            closed = mask[src]
+            for w_row, level_sum in zip(w_rows, sums):
+                w_row[src] = level_sum
+                level_sum[closed] = 0
+            sums[0] += 1
+            for c_row, level_sum in zip(c_rows, sums):
+                c_row[src] = level_sum
         return w
 
     # ------------------------------------------------------------------
@@ -598,31 +728,60 @@ class NumpyBackend(SampledEvaluationMixin):
             )
         return plan.nreach
 
-    def _totals_vector(self, plan: _Plan, mask: Any) -> Any:
+    def _totals_limbs(self, plan: _Plan, mask: Any) -> Any:
         """Aggregate totals ``T(v) = Σ_s ψ_s(v)`` in one 1-D sweep.
 
-        Per level, each edge ``(u, v)`` carries the emission
-        ``E(u) = (nreach(u) if u ∈ A else T(u)) + [u is a source]`` —
-        a filter forwards exactly one copy per item it receives (and
-        its own item when it is also a source), so its emission is the
-        per-graph constant ``nreach + bonus``.  Source-count-independent:
-        the same two sweeps whether the graph has 1 source or 10 000.
+        Shape ``(k, n)``: ``k = plan.t_limbs`` base-``2**32`` limbs, one
+        int64 row each (``k = 1`` on int64 plans).  Each edge ``(u, v)``
+        carries the emission ``E(u) = (nreach(u) if u ∈ A else T(u)) +
+        [u is a source]`` — a filter forwards exactly one copy per item
+        it receives (and its own item when it is also a source), so its
+        emission is the per-graph constant ``nreach + bonus``.  ``E`` is
+        computed once per level node and gathered per edge; with more
+        than one limb, each level's destinations are carried after the
+        add.  Source-count-independent: the same two sweeps whether the
+        graph has 1 source or 10 000.
         """
         np = self._np
-        totals = np.zeros(plan.n, dtype=np.int64)
+        k = plan.t_limbs
+        totals = np.zeros((k, plan.n), dtype=np.int64)
+        rows = list(totals)
+        low, high = rows[0], rows[1:]
         nreach = self._nreach(plan)
         bonus = plan.src_bonus
         for lvl in plan.levels:
             if not lvl.has_edges:
                 continue
-            src = lvl.fwd_src_global
-            emit = np.where(mask[src], nreach[src], totals[src]) + bonus[src]
-            totals[lvl.fwd_uniq_dst] += np.add.reduceat(emit, lvl.fwd_offsets)
+            nodes, dst = lvl.nodes, lvl.fwd_uniq_dst
+            closed = mask[nodes]
+            emit = np.where(closed, nreach[nodes], low[nodes]) + bonus[nodes]
+            level_sum = np.add.reduceat(emit[lvl.fwd_src_local], lvl.fwd_offsets)
+            if not high:
+                low[dst] += level_sum
+                continue
+            sums = [level_sum + low[dst]]
+            for row in high:
+                emit = np.where(closed, 0, row[nodes])
+                sums.append(
+                    np.add.reduceat(emit[lvl.fwd_src_local], lvl.fwd_offsets)
+                    + row[dst]
+                )
+            _carry(sums)
+            for row, level_sum in zip(rows, sums):
+                row[dst] = level_sum
         return totals
 
     # ------------------------------------------------------------------
     # PropagationBackend interface
     # ------------------------------------------------------------------
+
+    def _delegates(self, plan: _Plan) -> bool:
+        """True when deterministic queries must run on the exact backend:
+        a non-finite probe, or an int64-unsafe plan on the lanes tier,
+        which has no limb sweeps."""
+        return plan.representation == "exact" or (
+            plan.exact_only and self.tier == "lanes"
+        )
 
     def gain_session(
         self,
@@ -645,6 +804,55 @@ class NumpyBackend(SampledEvaluationMixin):
             return self._exact.gain_session(graph, filter_set)
         return NumpyGainSession(self, graph, plan, filter_set)
 
+    def _receipts_list(
+        self,
+        graph: CGraph,
+        filters: Collection[Node],
+        items_per_source: int | Mapping[Node, int],
+    ) -> "list[int] | None":
+        """Weighted receipts per node in id order; None means delegate.
+
+        Uniform weights on the bitpack tier scale one ``T`` sweep: int64
+        when the probe and the weight allow, else exact Python-int
+        products of the limb sweep.  Per-source mappings (and the lanes
+        tier) weight the ψ matrix, and return None — the exact backend's
+        job — when the plan's overflow probe or the supplied weights put
+        any value near ``2**63``.
+        """
+        if not graph.sources:
+            raise MissingSourceError("graph has no sources")
+        validate_filter_set(graph, set(filters))
+        plan = self.plan_for(graph)
+        np = self._np
+        uniform = not isinstance(items_per_source, Mapping)
+        if uniform:
+            max_weight = max(items_per_source, 0)
+        else:
+            weights = [max(items_per_source.get(s, 0), 0) for s in plan.sources]
+            max_weight = max(weights, default=0)
+        # Compare before multiplying: a weight beyond float64 range would
+        # raise OverflowError in the product.
+        fits = not (
+            plan.exact_only
+            or max_weight >= OVERFLOW_LIMIT
+            or max_weight * plan.psi_bound >= OVERFLOW_LIMIT
+        )
+        mask = self._filter_mask(plan, filters)
+        if self.tier == "bitpack" and uniform:
+            if self._delegates(plan):
+                return None
+            totals = self._totals_limbs(plan, mask)
+            if fits:
+                return (totals[0] * max_weight).tolist()
+            return [t * max_weight for t in _limb_ints(totals)]
+        if not fits:
+            return None
+        psi = self._psi_matrix(plan, mask)
+        if uniform:
+            return (psi.sum(axis=0) * max_weight).tolist()
+        wvec = np.array(weights, dtype=np.int64)
+        return (psi * wvec[:, None]).sum(axis=0).tolist()
+
     def node_receipts(
         self,
         graph: CGraph,
@@ -652,43 +860,13 @@ class NumpyBackend(SampledEvaluationMixin):
         *,
         items_per_source: int | Mapping[Node, int] = 1,
     ) -> dict[Node, int]:
-        """Receipts per node (``Σ_s ψ_s(v)``, weighted) — batched int64.
-
-        Falls back to the exact backend when the plan's overflow probe
-        (or the supplied weights) puts any value near ``2**63``.
-        """
-        if not graph.sources:
-            raise MissingSourceError("graph has no sources")
-        validate_filter_set(graph, set(filters))
-        plan = self.plan_for(graph)
-        np = self._np
-        if isinstance(items_per_source, Mapping):
-            weights = [max(items_per_source.get(s, 0), 0) for s in plan.sources]
-        else:
-            weights = [max(items_per_source, 0)] * len(plan.sources)
-        max_weight = max(weights, default=0)
-        # Compare before multiplying: a weight beyond float64 range would
-        # raise OverflowError in the product, and anything >= the limit
-        # needs the exact path regardless.
-        if (
-            plan.exact_only
-            or max_weight >= OVERFLOW_LIMIT
-            or max_weight * plan.psi_bound >= OVERFLOW_LIMIT
-        ):
+        """Receipts per node (``Σ_s ψ_s(v)``, weighted), batched."""
+        values = self._receipts_list(graph, filters, items_per_source)
+        if values is None:
             return self._exact.node_receipts(
                 graph, filters, items_per_source=items_per_source
             )
-        mask = self._filter_mask(plan, filters)
-        if self.tier == "bitpack" and not isinstance(items_per_source, Mapping):
-            # Uniform weights scale the aggregate totals directly — one
-            # T sweep instead of one ψ row per source.  Per-source
-            # mappings weight individual lanes and keep the ψ matrix.
-            totals = self._totals_vector(plan, mask) * max(items_per_source, 0)
-        else:
-            psi = self._psi_matrix(plan, mask)
-            wvec = np.array(weights, dtype=np.int64)
-            totals = (psi * wvec[:, None]).sum(axis=0)
-        return dict(zip(plan.node_list, totals.tolist()))
+        return dict(zip(self.plan_for(graph).node_list, values))
 
     def total_receipts(
         self,
@@ -698,11 +876,12 @@ class NumpyBackend(SampledEvaluationMixin):
         items_per_source: int | Mapping[Node, int] = 1,
     ) -> int:
         """``Φ(A, V)``: total received copies (summed as Python ints)."""
-        return sum(
-            self.node_receipts(
+        values = self._receipts_list(graph, filters, items_per_source)
+        if values is None:
+            return self._exact.total_receipts(
                 graph, filters, items_per_source=items_per_source
-            ).values()
-        )
+            )
+        return sum(values)
 
     def marginal_gains(
         self,
@@ -715,10 +894,10 @@ class NumpyBackend(SampledEvaluationMixin):
         filter_set = set(filters)
         validate_filter_set(graph, filter_set)
         plan = self.plan_for(graph)
-        if plan.exact_only:
+        if self._delegates(plan):
             return self._exact.marginal_gains(graph, filter_set)
-        gains = self._gains_array(plan, self._filter_mask(plan, filter_set))
-        return dict(zip(plan.node_list, gains.tolist()))
+        gains = self._gains_list(plan, self._filter_mask(plan, filter_set))
+        return dict(zip(plan.node_list, gains))
 
     def marginal_gains_ids(
         self,
@@ -729,10 +908,9 @@ class NumpyBackend(SampledEvaluationMixin):
         if not graph.sources:
             raise MissingSourceError("graph has no sources")
         plan = self.plan_for(graph)
-        if plan.exact_only:
+        if self._delegates(plan):
             return self._exact.marginal_gains_ids(graph, filter_ids)
-        gains = self._gains_array(plan, self._mask_from_ids(plan, filter_ids))
-        return gains.tolist()
+        return self._gains_list(plan, self._mask_from_ids(plan, filter_ids))
 
     def simplified_impacts(
         self,
@@ -743,10 +921,10 @@ class NumpyBackend(SampledEvaluationMixin):
         filter_set = set(filters)
         validate_filter_set(graph, filter_set)
         plan = self.plan_for(graph)
-        if plan.exact_only:
+        if self._delegates(plan):
             return self._exact.simplified_impacts(graph, filter_set)
-        scores = self._impact_scores(plan, self._filter_mask(plan, filter_set))
-        return dict(zip(plan.node_list, scores.tolist()))
+        scores = self._impact_list(plan, self._filter_mask(plan, filter_set))
+        return dict(zip(plan.node_list, scores))
 
     def simplified_impacts_ids(
         self,
@@ -755,10 +933,9 @@ class NumpyBackend(SampledEvaluationMixin):
     ) -> list[int]:
         """``I'(v)`` as a flat list over interned ids, vectorized."""
         plan = self.plan_for(graph)
-        if plan.exact_only:
+        if self._delegates(plan):
             return self._exact.simplified_impacts_ids(graph, filter_ids)
-        scores = self._impact_scores(plan, self._mask_from_ids(plan, filter_ids))
-        return scores.tolist()
+        return self._impact_list(plan, self._mask_from_ids(plan, filter_ids))
 
     # ------------------------------------------------------------------
     # Propagation-model axis: batched sampled-world sweeps
@@ -830,6 +1007,10 @@ class NumpyBackend(SampledEvaluationMixin):
             np.int32
             if pick_representation(levelsum, plan.psi_bound).narrow
             else np.int64
+        )
+        _count_representation(
+            "sampled",
+            "exact" if exact_only else np.dtype(dtype).name,
         )
         # Pre-gather each level's live columns once (both groupings),
         # trials-major — matching the sweeps' row layout, where
@@ -1049,11 +1230,12 @@ class NumpyBackend(SampledEvaluationMixin):
 
         On the bitpack tier this also runs the blocked reachability warm
         (the tier's only other per-graph preprocessing), so timed solve
-        regions never pay for it.  Exact-only plans warm the delegate
-        backend instead — its sessions consume the same shared counts.
+        regions never pay for it — limb plans included, since their
+        sweeps stay here.  Plans whose queries delegate warm the exact
+        backend instead — it consumes the same shared counts.
         """
         plan = self.plan_for(graph)
-        if plan.exact_only:
+        if self._delegates(plan):
             self._exact.warm(graph)
         elif self.tier == "bitpack":
             self._nreach(plan)
@@ -1103,7 +1285,7 @@ class NumpyGainSession:
 
         mask = backend._filter_mask(plan, filters)
         psi = backend._psi_matrix(plan, mask)
-        w = backend._suffix_vector(plan, mask)
+        w = backend._suffix_limbs(plan, mask)[0]  # int64 plans: one limb
         emit = np.where(mask[None, :], (psi > 0).astype(np.int64), psi)
         rows = np.flatnonzero(plan.col_to_row >= 0)
         emit[plan.col_to_row[rows], rows] = 1

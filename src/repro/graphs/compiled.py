@@ -866,9 +866,6 @@ DEFAULT_REACH_BLOCK = 1024
 def blocked_reach_counts(
     compiled: CompiledGraph,
     block: int = DEFAULT_REACH_BLOCK,
-    source_start: int = 0,
-    source_stop: "int | None" = None,
-    subtract_mark: bool = True,
 ) -> list[int]:
     """``nreach`` via a blocked sweep that never holds all masks.
 
@@ -881,16 +878,15 @@ def blocked_reach_counts(
     integer addition — the result is bit-identical to the monolithic
     path for every block size.
 
-    ``source_start``/``source_stop`` restrict the sweep to a slice of
-    ``source_ids`` (the process-parallel shards each take one contiguous
-    slice and the parent sums the returned count vectors elementwise).
-    ``subtract_mark=False`` returns the raw per-window popcount sums —
-    shard workers use it so the source-mark correction is applied
-    exactly once, by the parent.
+    Sources without children reach nothing and never enter a window.
+    Each window clears its own source bits before the popcount — a
+    source never reaches itself in a DAG — so the counts come out
+    without the source mark, as the NumPy engine's do.
     """
     if block < 1:
         raise ParameterError("reach block size must be at least 1")
-    sources = compiled.source_ids[source_start:source_stop]
+    out_degree = compiled.out_degree
+    sources = [s for s in compiled.source_ids if out_degree[s]]
     n = compiled.n
     order = compiled.topo_order
     pred = compiled.pred_ids
@@ -906,10 +902,9 @@ def blocked_reach_counts(
             for p in pred[v]:
                 acc |= masks[p]
             masks[v] = acc
+        for s in window:
+            masks[s] ^= own[s]
         for v, m in enumerate(masks):
             if m:
                 counts[v] += m.bit_count()
-    if not subtract_mark:
-        return counts
-    mark = compiled.source_mark()
-    return [c - mark[v] for v, c in enumerate(counts)]
+    return counts

@@ -29,8 +29,8 @@ The aggregate entry points (:func:`node_receipts`, :func:`total_receipts`)
 dispatch through the pluggable backend registry
 (:mod:`repro.backends.registry`): the exact big-int sweeps below are the
 ``python`` backend's implementation, while the ``numpy`` backend batches
-all sources into vectorized level sweeps and falls back here when int64
-could overflow.  :func:`item_receipts` is the per-item primitive and always
+all sources into vectorized level sweeps (carrying limbs past int64) and
+falls back here when its float64 overflow probe itself overflows.  :func:`item_receipts` is the per-item primitive and always
 runs exactly.
 """
 

@@ -34,7 +34,9 @@ Two sweep engines, one contract:
   before the popcount — a source never reaches itself in a DAG — so
   the counts come out mark-free.
 * **Pure python** — :func:`repro.graphs.compiled.blocked_reach_counts`:
-  the same windows as B-bit python ints, dependency-free.
+  windows of B-bit python ints, dependency-free.  It skips sink sources
+  and clears each window's own bits the same way, so ``swept_sources``
+  and ``blocks`` mean the same on every engine.
 
 Independent blocks also shard over the cached ProcessPoolExecutor from
 :mod:`repro.propagation.parallel`: worker ``w`` of ``W`` sweeps blocks
@@ -180,7 +182,9 @@ def warm_reach_counts(
     ) as record:
         np = _numpy_or_none()
         if np is None:
-            engine, swept = "python", num_sources
+            out_degree = compiled.out_degree
+            engine = "python"
+            swept = sum(1 for s in compiled.source_ids if out_degree[s])
             counts = blocked_reach_counts(compiled, block)
         else:
             tables = _sweep_tables(np, compiled)

@@ -50,6 +50,23 @@ def diamond_chain(length: int) -> CGraph:
     return CGraph(edges)
 
 
+def nonfinite_probe_graph() -> CGraph:
+    """A short reachable path beside a source-unreachable diamond chain.
+
+    The unreachable region's ``W`` reaches ``~2**1300``, past float64, so
+    the numpy overflow probe sees ``inf`` — and ``inf·0 = NaN`` where it
+    multiplies by the region's zero receipts.
+    """
+    reachable = [("s", "r0")] + [(f"r{i}", f"r{i+1}") for i in range(3)]
+    unreachable = []
+    prev = "u_top"
+    for i in range(1300):  # W ~ 2**1300 ≫ float64 max
+        a, b, m = f"ua{i}", f"ub{i}", f"um{i}"
+        unreachable += [(prev, a), (prev, b), (a, m), (b, m)]
+        prev = m
+    return CGraph(reachable + unreachable, sources=["s"])
+
+
 @pytest.fixture
 def fig1():
     from repro.datasets.toy import fig1_graph

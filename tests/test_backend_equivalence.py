@@ -4,14 +4,15 @@ The contract of :mod:`repro.backends`: every backend returns bit-identical
 integers for every query, and placement runs produce byte-identical
 ``PlacementResult`` contents regardless of backend — including on graphs
 whose receipt counts overflow int64, where the NumPy backend must detect
-the risk and delegate to the exact path.
+the risk and carry limbs, or delegate to the exact path when its float64
+probe itself overflows.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from conftest import diamond_chain, random_dag
+from conftest import diamond_chain, nonfinite_probe_graph, random_dag
 from repro.backends import get_backend, use_backend
 from repro.backends.numpy_backend import NumpyBackend
 from repro.core.objective import filter_ratio
@@ -85,14 +86,57 @@ def test_placements_identical_across_backends(algorithm_name, dataset):
 
 
 def test_overflow_falls_back_to_exact_path():
+    """Past int64 the answers stay exact: the probe flags the plan
+    ``exact_only`` and the bitpack queries run on the limb sweeps, which
+    must match the big-int python backend."""
     graph = diamond_chain(70)  # receipts reach 2**70 ≫ int64
     backend = NumpyBackend()
     assert backend.plan_for(graph).exact_only is True
+    assert backend.plan_for(graph).representation == "limbs"
     exact = get_backend("python")
     receipts = backend.node_receipts(graph)
     assert receipts == exact.node_receipts(graph)
     assert max(receipts.values()) == 2**70  # genuinely beyond int64
     assert backend.marginal_gains(graph) == exact.marginal_gains(graph)
+
+
+def test_product_overflow_alone_runs_one_limb_exactly():
+    """``T`` and ``W`` each fit int64 but their products do not: 1,024
+    sources feed a 30-diamond chain whose tail fans out into 16 parallel
+    20-diamond chains, each ending in 16 sinks (``T`` ≤ 2**60, ``W`` <
+    2**62, ``T·W`` and ``T·dout`` ≥ 2**63).  The sweeps keep one limb
+    each; gains, impacts and weighted receipts must still be exact."""
+    sources = [f"s{j}" for j in range(1024)]
+    edges = [(s, "h") for s in sources]
+    prev = "h"
+    for i in range(30):
+        a, b, m = f"a{i}", f"b{i}", f"m{i}"
+        edges += [(prev, a), (prev, b), (a, m), (b, m)]
+        prev = m
+    for c in range(16):
+        tail = prev
+        for i in range(20):
+            a, b, m = f"c{c}a{i}", f"c{c}b{i}", f"c{c}m{i}"
+            edges += [(tail, a), (tail, b), (a, m), (b, m)]
+            tail = m
+        edges += [(tail, f"c{c}z{j}") for j in range(16)]
+    graph = CGraph(edges, sources=sources)
+    backend = NumpyBackend()
+    plan = backend.plan_for(graph)
+    assert (plan.representation, plan.t_limbs, plan.w_limbs) == ("limbs", 1, 1)
+    exact = get_backend("python")
+    assert max(exact.marginal_gains(graph).values()) >= 2**63
+    assert max(exact.simplified_impacts(graph).values()) >= 2**63
+    for filters in ((), ("m5",), ("c3m2", "a10")):
+        assert backend.marginal_gains(graph, filters) == exact.marginal_gains(
+            graph, filters
+        )
+        assert backend.simplified_impacts(
+            graph, filters
+        ) == exact.simplified_impacts(graph, filters)
+        assert backend.node_receipts(
+            graph, filters, items_per_source=2**40
+        ) == exact.node_receipts(graph, filters, items_per_source=2**40)
 
 
 def test_safe_graphs_use_the_fast_path():
@@ -123,17 +167,12 @@ def test_nonfinite_probe_forces_exact_path():
     # A source-unreachable region whose W overflows float64 to inf makes
     # the probe compute inf·0 = NaN; NaN compares False against every
     # threshold, so it must be treated as overflow explicitly or the int64
-    # path runs unguarded and can return wrapped (negative) gains.
-    reachable = [("s", "r0")] + [(f"r{i}", f"r{i+1}") for i in range(3)]
-    unreachable = []
-    prev = "u_top"
-    for i in range(1300):  # W ~ 2**1300 ≫ float64 max
-        a, b, m = f"ua{i}", f"ub{i}", f"um{i}"
-        unreachable += [(prev, a), (prev, b), (a, m), (b, m)]
-        prev = m
-    graph = CGraph(reachable + unreachable, sources=["s"])
+    # path runs unguarded and can return wrapped (negative) gains.  No
+    # limb count is safe either, so every query delegates.
+    graph = nonfinite_probe_graph()
     backend = NumpyBackend()
     assert backend.plan_for(graph).exact_only is True
+    assert backend.plan_for(graph).representation == "exact"
     assert backend.marginal_gains(graph) == get_backend(
         "python"
     ).marginal_gains(graph)

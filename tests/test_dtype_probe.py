@@ -5,9 +5,10 @@ point every accelerated path consults before committing to fixed-width
 arithmetic — the numpy plan probe, the sampled-state builder, and the
 bit-packed aggregate sweeps.  These tests pin the ladder's exact
 boundaries (int32 / int64 / exact), its treatment of non-finite probe
-values, and — end to end — that a graph whose receipt counts blow past
-int64 makes the bitpack tier fall back to exact big-int evaluation that
-still matches the dict-path oracle bit for bit.
+values, the limb counts of the numpy backend's ``limbs`` rung, and — end
+to end — that a graph whose receipt counts blow past int64 makes the
+bitpack tier carry limbs and still match the dict-path oracle bit for
+bit.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.backends.probe import (
     OVERFLOW_LIMIT,
     REPRESENTATIONS,
     ProbeVerdict,
+    limb_count,
     pick_representation,
 )
 
@@ -89,10 +91,28 @@ def test_verdict_flags_are_mutually_consistent():
         assert verdict.narrow == (representation == "int32")
 
 
+@pytest.mark.parametrize(
+    "bound,expected",
+    [
+        (0.0, 1),
+        (float(2**62 - 512), 1),  # largest float64 below the int64 limit
+        (float(2**62), 2),  # the limit itself needs a second limb
+        (float(2**94 - 2**41), 2),  # largest float64 below 2**94
+        (float(2**94), 3),
+        (float(2**126), 4),
+        (float("inf"), None),
+        (float("nan"), None),
+    ],
+)
+def test_limb_count_boundaries(bound, expected):
+    assert limb_count(bound) == expected
+
+
 def test_bitpack_overflow_falls_back_to_exact_bigint():
     """Regression: popcount *totals* can overflow even though each packed
-    word is fine — the probe must force the exact path before the bitset
-    sweep commits to int64 accumulators."""
+    word is fine — the probe must flag the plan before the bitset sweep
+    commits to int64 accumulators.  The bitpack sweeps then carry limbs
+    and take their products on exact ints, matching the dict oracle."""
     numpy = pytest.importorskip("numpy")
     del numpy
 
@@ -104,6 +124,9 @@ def test_bitpack_overflow_falls_back_to_exact_bigint():
     plan = backend.plan_for(graph)
     assert plan.exact_only, (
         "the probe failed to flag a 2**70-receipt graph as exact-only"
+    )
+    assert (plan.representation, plan.t_limbs, plan.w_limbs) == (
+        "limbs", 2, 2
     )
     filters = ("m10",)
     assert backend.marginal_gains(graph, filters) == (

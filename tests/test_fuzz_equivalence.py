@@ -110,6 +110,106 @@ def test_placements_match_dict_oracle(
     )
 
 
+# ----------------------------------------------------------------------
+# Past int64: the corpus behind a 2**70 amplifier.  The numpy backend
+# carries T and W as base-2**32 limbs here; the python backend's big
+# ints and the dict oracle must agree with it on every query.
+# ----------------------------------------------------------------------
+
+#: Stacked diamonds in the amplifier chain: its tail gets 2**70 copies.
+AMPLIFIER_DIAMONDS = 70
+
+_amplified: dict[str, CGraph] = {}
+
+
+def amplified_graph(case: DagCase) -> CGraph:
+    """``case``'s DAG behind a chain of 70 stacked diamonds.
+
+    The chain's head is a new source and its tail feeds every source of
+    the case, which stay sources (now with a parent).  Chain nodes take
+    the ids after the case's own, so every node stays an int.
+    """
+    if case.name not in _amplified:
+        base = case_graph(case)
+        nodes = list(base.nodes())
+        head = prev = len(nodes)
+        edges = list(base.edges())
+        for i in range(AMPLIFIER_DIAMONDS):
+            a, b, m = head + 3 * i + 1, head + 3 * i + 2, head + 3 * i + 3
+            edges += [(prev, a), (prev, b), (a, m), (b, m)]
+            prev = m
+        sources = sorted(base.sources)
+        edges += [(prev, s) for s in sources]
+        _amplified[case.name] = CGraph(
+            edges,
+            nodes=nodes + list(range(head, prev + 1)),
+            sources=[head, *sources],
+        )
+    return _amplified[case.name]
+
+
+def amplified_filter_sets(case: DagCase, graph: CGraph):
+    """Empty, chain-only, and chain plus case-interior filter sets."""
+    rng = random.Random(case.seed + AMPLIFIER_DIAMONDS)
+    head = max(graph.sources)
+    chain = [v for v in graph.nodes() if v > head]
+    interior = case.filter_pool(3)
+    return [
+        (),
+        tuple(rng.sample(chain, 2)),
+        tuple(rng.sample(chain, 1) + rng.sample(interior, min(2, len(interior)))),
+    ]
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+def test_amplified_corpus_matches_dict_oracle_past_int64(case):
+    graph = amplified_graph(case)
+    nodes = graph.compiled().nodes
+    backends = {
+        name: tier_backend(name, "bitpack") for name in available_backends()
+    }
+    if "numpy" in backends:
+        plan = backends["numpy"].plan_for(graph)
+        assert plan.representation == "limbs"
+        assert 2 <= plan.t_limbs <= 3 and 2 <= plan.w_limbs <= 3
+    for filters in amplified_filter_sets(case, graph):
+        filter_ids = graph.compiled().to_ids(filters)
+        gains = oracle.marginal_gains_dict(graph, filters)
+        impacts = oracle.simplified_impacts_dict(graph, filters)
+        receipts = oracle.node_receipts_dict(graph, filters)
+        if not filters:
+            assert max(receipts.values()) >= 2**AMPLIFIER_DIAMONDS
+        for name, backend in backends.items():
+            label = f"{case.name}/{name} with filters {filters}"
+            assert backend.marginal_gains_ids(graph, filter_ids) == [
+                gains[v] for v in nodes
+            ], label
+            assert backend.simplified_impacts_ids(graph, filter_ids) == [
+                impacts[v] for v in nodes
+            ], label
+            for weight in (1, 3, 10**30):
+                assert backend.node_receipts(
+                    graph, filters, items_per_source=weight
+                ) == {v: weight * c for v, c in receipts.items()}, label
+    for algorithm in ("G_All", "G_L", "G_Max"):
+        expected = oracle.ORACLE_PLACERS[algorithm](graph, K)
+        for name, backend in backends.items():
+            result = get_algorithm(algorithm, backend=backend).place(graph, K)
+            assert result.filters == expected, f"{case.name}/{algorithm}/{name}"
+
+
+def test_amplified_corpus_reaches_three_limbs():
+    """Some amplified case needs a third limb, so the two-step carry
+    (limb 0 into 1, then 1 into 2) runs on random structure too."""
+    pytest.importorskip("numpy")
+    backend = tier_backend("numpy", "bitpack")
+    widest = max(
+        max(plan.t_limbs, plan.w_limbs)
+        for plan in (backend.plan_for(amplified_graph(c)) for c in CASES)
+    )
+    assert widest == 3
+
+
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
 @pytest.mark.parametrize("backend_name", available_backends())
 def test_incremental_sessions_match_oracle_across_tiers(case, backend_name):

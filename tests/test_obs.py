@@ -407,10 +407,8 @@ def test_cli_trace_flag_does_not_leak_enabled_state(capsys):
     assert not TRACER.enabled
 
 
-@pytest.mark.parametrize("workers", (1, 2))
-def test_warm_reach_span_and_counter_report_swept_blocks(workers):
-    """Sink sources never enter a block: the ``warm.reach`` span and
-    ``fp_warm_reach_blocks_total`` both count the blocks swept."""
+def _check_warm_reach_record(workers: int, engine: str) -> None:
+    """Warm a graph with 100 sink sources; check the span and counter."""
     from repro.graphs.cgraph import CGraph
     from repro.graphs.compiled import packed_reach_counts
     from repro.propagation.reach import warm_reach_counts
@@ -430,12 +428,7 @@ def test_warm_reach_span_and_counter_report_swept_blocks(workers):
     with TRACER.trace(trace_id="t-warm-reach") as trace:
         counts = warm_reach_counts(compiled, block=64, workers=workers)
     (record,) = trace.roots
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        engine, swept = "python", 800
-    else:
-        engine, swept = ("sharded" if workers > 1 else "numpy"), 700
+    swept = 700
     blocks = -(-swept // 64)
     assert record.name == "warm.reach"
     assert {
@@ -443,3 +436,92 @@ def test_warm_reach_span_and_counter_report_swept_blocks(workers):
     } == {"engine": engine, "swept_sources": swept, "blocks": blocks}
     assert counter.value() == before + blocks
     assert counts == packed_reach_counts(compiled)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_warm_reach_span_and_counter_report_swept_blocks(workers):
+    """Sink sources never enter a block: the ``warm.reach`` span and
+    ``fp_warm_reach_blocks_total`` both count the blocks swept."""
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        engine = "python"
+    else:
+        engine = "sharded" if workers > 1 else "numpy"
+    _check_warm_reach_record(workers, engine)
+
+
+def test_warm_reach_python_engine_reports_swept_blocks(monkeypatch):
+    """The pure-python engine skips sink sources too, so its span and
+    counter report the same blocks as the NumPy engines."""
+    from repro.propagation import reach
+
+    monkeypatch.setattr(reach, "_numpy_or_none", lambda: None)
+    _check_warm_reach_record(1, "python")
+
+
+@pytest.mark.parametrize(
+    "graph_name,verdict",
+    [
+        ("diamond_chain(10)", ("int32", 1, 1)),
+        ("diamond_chain(70)", ("limbs", 2, 2)),
+        ("nonfinite", ("exact", 1, None)),
+    ],
+)
+def test_probe_verdict_recorded_on_plan_span_and_counter(graph_name, verdict):
+    """Each numpy plan build records the overflow probe's verdict: the
+    ``backends.plan`` span carries the representation and both limb
+    counts, and ``fp_probe_representation_total`` counts it."""
+    pytest.importorskip("numpy")
+    from conftest import diamond_chain, nonfinite_probe_graph
+    from repro.backends.numpy_backend import NumpyBackend
+
+    graph = {
+        "diamond_chain(10)": lambda: diamond_chain(10),
+        "diamond_chain(70)": lambda: diamond_chain(70),
+        "nonfinite": nonfinite_probe_graph,
+    }[graph_name]()
+    representation = verdict[0]
+
+    def recorded() -> float:
+        family = REGISTRY.get("fp_probe_representation_total")
+        if family is None:
+            return 0
+        return family.value(site="plan", representation=representation)
+
+    before = recorded()
+    backend = NumpyBackend()
+    TRACER.enable()
+    with TRACER.trace(trace_id="t-probe-verdict") as trace:
+        plan = backend.plan_for(graph)
+        backend.plan_for(graph)  # cached: no second span or count
+    (record,) = trace.roots
+    assert record.name == "backends.plan"
+    attrs = record.attrs
+    assert (attrs["representation"], attrs["t_limbs"], attrs["w_limbs"]) == (
+        verdict
+    )
+    assert (plan.representation, plan.t_limbs, plan.w_limbs) == verdict
+    assert recorded() == before + 1
+
+
+def test_every_metric_family_is_cataloged():
+    """Every ``fp_*`` family named under ``src/`` has a row in the
+    metric catalog of docs/observability.md."""
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    named = {
+        match
+        for path in (root / "src").rglob("*.py")
+        for match in re.findall(r"[\"'](fp_[a-z0-9_]+)[\"']", path.read_text())
+    }
+    catalog = set(
+        re.findall(
+            r"^\| `(fp_[a-z0-9_]+)` \|",
+            (root / "docs" / "observability.md").read_text(),
+            flags=re.MULTILINE,
+        )
+    )
+    assert named, "no fp_* metric families found under src/"
+    assert sorted(named - catalog) == []
