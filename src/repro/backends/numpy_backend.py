@@ -586,8 +586,13 @@ class NumpyBackend(SampledEvaluationMixin):
     def _filter_mask(self, plan: _Plan, filters: Collection[Node]) -> Any:
         np = self._np
         mask = np.zeros(plan.n, dtype=bool)
-        for v in filters:
-            mask[plan.index[v]] = True
+        mask[
+            np.fromiter(
+                map(plan.index.__getitem__, filters),
+                dtype=np.intp,
+                count=len(filters),
+            )
+        ] = True
         return mask
 
     def _mask_from_ids(self, plan: _Plan, filter_ids: Iterable[int]) -> Any:

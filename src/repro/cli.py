@@ -90,7 +90,6 @@ from collections.abc import Sequence
 from repro.analysis.metrics import describe
 from repro.analysis.report import format_stats_table, format_table
 from repro.backends.registry import BACKEND_NAMES, use_backend
-from repro.core.objective import filter_ratio, max_objective, phi
 from repro.core.registry import (
     ALGORITHM_NAMES,
     STRATEGY_NAMES,
@@ -354,11 +353,13 @@ def _run_place(args: argparse.Namespace) -> int:
 
 
 def _report_place(args, graph, model, result) -> int:
-    if args.json:
-        from repro.service.serialize import placement_payload
+    from repro.service.serialize import placement_payload
 
-        print(json.dumps(placement_payload(graph, result, model=model),
-                         indent=2, sort_keys=True))
+    # One scoring pass for both forms: the text report prints the same
+    # payload ``--json`` dumps, so it costs the same three Φ sweeps.
+    payload = placement_payload(graph, result, model=model)
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     rows = [[str(i + 1), repr(v)] for i, v in enumerate(result.filters)]
     print(format_table(["#", "filter node"], rows))
@@ -370,40 +371,27 @@ def _report_place(args, graph, model, result) -> int:
         status = "exactly rescored" if result.rescored else "estimate only"
         print(f"sketch gains   : {status}")
     if result.rescored is False:
-        # The graph sits beyond the sketch tier's exact-rescore guard;
-        # two more full sweeps just to print Φ would defeat the tier.
-        estimate = float(sum(result.estimated_gains))
+        # The graph sits beyond the sketch tier's exact-rescore guard, so
+        # the payload carries the estimate instead of swept Φ values.
+        estimate = payload["objective_estimate"]
         print(f"F(A) estimate  : {estimate:g}  (bottom-k estimator)")
         return 0
     if model is not None:
         # SAA estimates over the model's sampled worlds — floats, and
         # mutually consistent because every value shares the worlds.
-        from repro.core.objective import expected_phi
-
-        phi_empty_x = expected_phi(graph, (), model=model)
-        phi_a_x = expected_phi(graph, result.filters, model=model)
-        f_max_x = phi_empty_x - expected_phi(
-            graph, graph.nodes(), model=model
-        )
-        objective_x = phi_empty_x - phi_a_x
-        fr_x = 1.0 if f_max_x == 0 else objective_x / f_max_x
         print(f"model          : {model.mechanism} "
               f"(edge prob {args.edge_prob:g}, {model.trials} trials, "
               f"seed {model.seed})")
-        print(f"E[Phi(empty)]  : {phi_empty_x:.3f}")
-        print(f"E[Phi(A)]      : {phi_a_x:.3f}")
-        print(f"E[F(A)]        : {objective_x:.3f}")
-        print(f"Filter Ratio   : {fr_x:.4f}  (sample average)")
+        print(f"E[Phi(empty)]  : {payload['phi_empty']:.3f}")
+        print(f"E[Phi(A)]      : {payload['phi']:.3f}")
+        print(f"E[F(A)]        : {payload['objective']:.3f}")
+        print(f"Filter Ratio   : {payload['filter_ratio']:.4f}  "
+              "(sample average)")
         return 0
-    phi_empty = phi(graph, ())
-    f_max = max_objective(graph, phi_empty=phi_empty)
-    fr = filter_ratio(
-        graph, result.filters, phi_empty=phi_empty, f_max=f_max
-    )
-    print(f"Phi(empty)     : {phi_empty}")
-    print(f"Phi(A)         : {phi(graph, result.filters)}")
-    print(f"F(A)           : {phi_empty - phi(graph, result.filters)}")
-    print(f"Filter Ratio   : {fr:.4f}")
+    print(f"Phi(empty)     : {payload['phi_empty']}")
+    print(f"Phi(A)         : {payload['phi']}")
+    print(f"F(A)           : {payload['objective']}")
+    print(f"Filter Ratio   : {payload['filter_ratio']:.4f}")
     return 0
 
 

@@ -7,9 +7,12 @@ them uniformly.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Hashable, Protocol, runtime_checkable
+from typing import Any, Hashable, Protocol, runtime_checkable
 
 from repro.exceptions import ParameterError
 from repro.graphs.cgraph import CGraph
@@ -133,3 +136,45 @@ def check_budget(graph: CGraph, k: int) -> None:
         raise ParameterError(
             f"k={k} exceeds the number of nodes ({graph.number_of_nodes()})"
         )
+
+
+# ----------------------------------------------------------------------
+# Selection over id-indexed score lists (the greedy family's one loop)
+# ----------------------------------------------------------------------
+#
+# Scores arrive as lists indexed by interned id — an id *is* the
+# ``graph.nodes()`` rank — so "lowest id among the maxima" is the
+# canonical lowest-rank tie-break.  Both helpers run at C level (``max``,
+# ``list.index``, ``heapq.nlargest``) and compare the values only, so
+# int64-derived ints, Python-int limb gains and SAA sums select alike.
+
+_NEG_INF = float("-inf")
+
+
+def select_best(
+    values: Sequence[Any], chosen: Iterable[int], *, early_stop: bool = True
+) -> int | None:
+    """The argmax step: the lowest id with the largest unchosen value.
+
+    ``chosen`` ids never win again.  Returns None once every id is
+    chosen, or — with ``early_stop`` (the default) — once no unchosen
+    value is positive; ``early_stop=False`` keeps picking zero-value
+    ids in id order.
+    """
+    values = list(values)
+    for v in chosen:
+        values[v] = _NEG_INF
+    best = max(values)
+    if best == _NEG_INF or (early_stop and best <= 0):
+        return None
+    return values.index(best)
+
+
+def select_top(values: Sequence[Any], k: int) -> list[int]:
+    """The ``k`` ids with the largest positive values, best first.
+
+    Ties keep the lower id first (``nlargest`` is stable), as sorting by
+    ``(-value, id)`` would.
+    """
+    ranked = heapq.nlargest(k, range(len(values)), key=values.__getitem__)
+    return list(itertools.takewhile(lambda v: values[v] > 0, ranked))

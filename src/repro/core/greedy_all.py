@@ -28,7 +28,12 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Hashable
 
-from repro.core.base import PlacementResult, PlacementStep, check_budget
+from repro.core.base import (
+    PlacementResult,
+    PlacementStep,
+    check_budget,
+    select_best,
+)
 from repro.core.celf import CelfGreedyAll
 from repro.core.impact import marginal_gains_ids
 from repro.graphs.cgraph import CGraph
@@ -79,9 +84,10 @@ class GreedyAll:
         """One ``I(v | A)`` sweep per pick; argmax with rank tie-breaks.
 
         Runs entirely on the compiled view's interned ids — an id *is*
-        the ``graph.nodes()`` rank, so the ascending scan with a strict
-        ``>`` reproduces the canonical lowest-rank tie-break — and
-        translates back to user nodes only at the result boundary.
+        the ``graph.nodes()`` rank, so :func:`~repro.core.base.select_best`
+        taking the lowest id among the maxima is the canonical
+        lowest-rank tie-break — and translates back to user nodes only
+        at the result boundary.
 
         Under a probabilistic relaying model (``model`` pinned here or
         scoped via :func:`repro.propagation.model.use_model`) each sweep
@@ -96,7 +102,6 @@ class GreedyAll:
         compiled = graph.compiled()
         chosen_ids: list[int] = []
         steps: list[PlacementStep] = []
-        placed = bytearray(compiled.n)
         for _ in range(k):
             if model is None:
                 gains = marginal_gains_ids(
@@ -108,24 +113,14 @@ class GreedyAll:
                 gains = resolve_backend(
                     self.backend
                 ).sampled_marginal_gains_ids(graph, chosen_ids, model=model)
-            best = -1
-            best_gain = 0
-            for v, gain in enumerate(gains):
-                if placed[v]:
-                    continue
-                if gain <= 0 and self.early_stop:
-                    continue
-                if best < 0 or gain > best_gain:
-                    best = v
-                    best_gain = gain
-            if best < 0:
+            best = select_best(gains, chosen_ids, early_stop=self.early_stop)
+            if best is None:
                 break  # every remaining candidate is useless; stop early
-            placed[best] = 1
             chosen_ids.append(best)
             steps.append(
                 PlacementStep(
                     node=compiled.nodes[best],
-                    gain=best_gain,
+                    gain=gains[best],
                     evaluations=(("marginal_gains", 1),),
                 )
             )

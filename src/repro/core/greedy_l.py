@@ -22,7 +22,12 @@ from typing import TYPE_CHECKING, Hashable
 
 from collections.abc import Iterable
 
-from repro.core.base import PlacementResult, PlacementStep, check_budget
+from repro.core.base import (
+    PlacementResult,
+    PlacementStep,
+    check_budget,
+    select_best,
+)
 from repro.graphs.cgraph import CGraph
 from repro.propagation.engine import item_receipts_ids, loose_filter_mask
 
@@ -152,11 +157,12 @@ class GreedyL:
     ) -> PlacementResult:
         """One ``I'(v)`` sweep per pick (Algorithm 2).
 
-        Runs on interned ids; the ascending scan with a strict ``>``
-        reproduces the canonical lowest-rank tie-break, and user nodes
-        reappear only at the result boundary.  Under a probabilistic
-        relaying model the score is the summed-over-worlds
-        ``Σ_t ψ_t(v) · dout_t(v)`` (live out-degree per world).
+        Runs on interned ids; :func:`~repro.core.base.select_best`
+        taking the lowest id among the maxima is the canonical
+        lowest-rank tie-break, and user nodes reappear only at the
+        result boundary.  Under a probabilistic relaying model the score
+        is the summed-over-worlds ``Σ_t ψ_t(v) · dout_t(v)`` (live
+        out-degree per world).
         """
         from repro.propagation.model import resolve_model
 
@@ -168,7 +174,6 @@ class GreedyL:
         compiled.topo_order
         chosen_ids: list[int] = []
         steps: list[PlacementStep] = []
-        placed = bytearray(compiled.n)
         for _ in range(k):
             if model is None:
                 scores = simplified_impacts_ids(
@@ -182,27 +187,17 @@ class GreedyL:
                 ).sampled_simplified_impacts_ids(
                     graph, chosen_ids, model=model
                 )
-            best = -1
-            best_score = 0
-            for v, score in enumerate(scores):
-                if placed[v]:
-                    continue
-                # A node forwarding at most one copy per edge gains nothing
-                # by filtering; requiring Prefix × dout > dout would need
-                # the prefix, so Greedy_L's own coarse cut is score > 0.
-                if score <= 0:
-                    continue
-                if best < 0 or score > best_score:
-                    best = v
-                    best_score = score
-            if best < 0:
+            # A node forwarding at most one copy per edge gains nothing by
+            # filtering; requiring Prefix × dout > dout would need the
+            # prefix, so Greedy_L's own coarse cut is score > 0.
+            best = select_best(scores, chosen_ids)
+            if best is None:
                 break
-            placed[best] = 1
             chosen_ids.append(best)
             steps.append(
                 PlacementStep(
                     node=compiled.nodes[best],
-                    gain=best_score,
+                    gain=scores[best],
                     evaluations=(("simplified_impacts", 1),),
                 )
             )

@@ -16,7 +16,12 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Hashable
 
-from repro.core.base import PlacementResult, PlacementStep, check_budget
+from repro.core.base import (
+    PlacementResult,
+    PlacementStep,
+    check_budget,
+    select_top,
+)
 from repro.core.impact import marginal_gains_ids
 from repro.graphs.cgraph import CGraph
 
@@ -73,11 +78,7 @@ class GreedyMax:
             scored = resolve_backend(
                 self.backend
             ).sampled_marginal_gains_ids(graph, (), model=model)
-        ranked = sorted(
-            (v for v, gain in enumerate(scored) if gain > 0),
-            key=lambda v: (-scored[v], v),
-        )
-        chosen_ids = ranked[:k]
+        chosen_ids = select_top(scored, k)
         # The single sweep is charged to the first pick; later picks are
         # free table lookups.
         steps = tuple(

@@ -15,10 +15,16 @@ real multiplicity is the unique optimum.
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import Hashable
 
-from repro.core.base import PlacementResult, PlacementStep, check_budget
+from repro.core.base import (
+    PlacementResult,
+    PlacementStep,
+    check_budget,
+    select_top,
+)
 from repro.graphs.cgraph import CGraph
 
 Node = Hashable
@@ -61,13 +67,16 @@ class GreedyOne:
         """
         check_budget(graph, k)
         compiled = graph.compiled()
-        in_degree, out_degree = compiled.in_degree, compiled.out_degree
-        scores = [in_degree[v] * out_degree[v] for v in range(compiled.n)]
-        ranked = sorted(
-            (v for v, score in enumerate(scores) if score > 0),
-            key=lambda v: (-scores[v], v),
+        # ``int`` keeps the gains Python ints when the degree tables are
+        # NumPy arrays (table-built graphs), so payloads serialize.
+        scores = list(
+            map(
+                operator.mul,
+                map(int, compiled.in_degree),
+                map(int, compiled.out_degree),
+            )
         )
-        chosen_ids = ranked[:k]
+        chosen_ids = select_top(scores, k)
         steps = tuple(
             PlacementStep(node=compiled.nodes[v], gain=scores[v])
             for v in chosen_ids

@@ -88,8 +88,16 @@ def _open_text(path: str | Path, mode: str):
 
 
 def _parse_token(token: str, int_ids: bool) -> Node:
+    """A token as an int when ``int()`` accepts it, else the string.
+
+    ``isdigit`` alone also passes ``"--5"`` and ``"²"``, which ``int()``
+    rejects; such tokens stay strings.
+    """
     if int_ids and token.lstrip("-").isdigit():
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:
+            pass
     return token
 
 

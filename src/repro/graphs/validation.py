@@ -110,9 +110,16 @@ def is_ctree(graph: CGraph) -> bool:
 
 
 def validate_filter_set(graph: CGraph, filters: set[Node]) -> None:
-    """Raise when ``filters`` references nodes outside the graph."""
-    missing = [v for v in filters if v not in graph]
+    """Raise when ``filters`` references nodes outside the graph.
+
+    One C-level set difference against the compiled interning map —
+    every caller sweeps the compiled graph next, so the compile is never
+    extra.  The message lists the first missing nodes in ``filters``'
+    own iteration order.
+    """
+    missing = filters.difference(graph.compiled().index)
     if missing:
+        first = [v for v in filters if v in missing][:5]
         raise GraphStructureError(
-            f"filter set references missing nodes: {missing[:5]!r}"
+            f"filter set references missing nodes: {first!r}"
         )

@@ -11,7 +11,7 @@ non-terminating at 10^5).
 This module replaces that with a **blocked sweep**: sources are iterated
 in blocks of B lanes, each block runs the level-synchronous OR
 recurrence ``B(v) = own(v) | OR_{p ∈ pred(v)} B(p)`` restricted to its
-own lanes, popcounts into an int64 accumulator, and drops its lanes
+own lanes, popcounts into a per-node accumulator, and drops its lanes
 before the next block starts.  Resident memory is O(n·B/8) — block
 size, not source count — and because the blocks partition the source
 set, the popcount sums are *exact integer addition*: the result is
@@ -32,7 +32,9 @@ Two sweep engines, one contract:
   shallowest child, and each block sweeps and popcounts only from its
   first source's level down.  Each block clears its own source bits
   before the popcount — a source never reaches itself in a DAG — so
-  the counts come out mark-free.
+  the counts come out mark-free.  Popcounts land per word in an
+  ``(n, ⌈B/64⌉)`` uint16 tally, folded into int64 row counts before it
+  could wrap and once at the end.
 * **Pure python** — :func:`repro.graphs.compiled.blocked_reach_counts`:
   windows of B-bit python ints, dependency-free.  It skips sink sources
   and clears each window's own bits the same way, so ``swept_sources``
@@ -321,13 +323,20 @@ def _row_layout(np, tables: tuple):
     return node_of_row, row_of, groups
 
 
-def _popcount_rows(np, plane):
-    """Per-row popcount totals of a ``(rows, words)`` uint64 plane."""
+def _word_popcounts(np, plane):
+    """Per-word popcounts of a ``(rows, words)`` uint64 plane, as uint8."""
     if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return np.bitwise_count(plane).sum(axis=1, dtype=np.int64)
+        return np.bitwise_count(plane)
     byte_bits = np.array([bin(b).count("1") for b in range(256)],
                          dtype=np.uint8)
-    return byte_bits[plane.view(np.uint8)].sum(axis=1, dtype=np.int64)
+    by_byte = byte_bits[plane.view(np.uint8)]
+    return by_byte.reshape(*plane.shape, 8).sum(axis=-1, dtype=np.uint8)
+
+
+#: The per-word popcount tally's dtype.  Each block adds at most
+#: ``min(64, block)`` to a word, so the tally is folded into the int64
+#: row counts every ``⌊max / min(64, block)⌋`` blocks, before it can wrap.
+_TALLY_DTYPE = "uint16"
 
 
 def _plane_sweep_counts(np, tables: tuple, sources, first_levels, block):
@@ -340,8 +349,10 @@ def _plane_sweep_counts(np, tables: tuple, sources, first_levels, block):
     plane, ORs parent rows into each (level, class) row slice from the
     block's first level down, clears the own bits again — a source never
     reaches itself in a DAG, so what remains is exactly ``nreach`` —
-    popcounts the swept rows into the int64 accumulator and zeroes them
-    for the next block.
+    adds the swept rows' per-word popcounts into an ``(n, ⌈block/64⌉)``
+    uint16 tally and zeroes them for the next block.  The tally is
+    summed into int64 row counts only before it could wrap and once at
+    the end, never along the short word axis per block.
     """
     n, level_offsets = tables[0], tables[4]
     if not sources.size:
@@ -352,8 +363,10 @@ def _plane_sweep_counts(np, tables: tuple, sources, first_levels, block):
     words = lanes >> 6
     bits = np.left_shift(np.uint64(1), (lanes & 63).astype(np.uint64))
     plane = np.zeros((n + 1, (lanes.size + 63) // 64), dtype=np.uint64)
+    tally = np.zeros((n, plane.shape[1]), dtype=_TALLY_DTYPE)
+    fold_every = np.iinfo(tally.dtype).max // min(64, block)
     by_row = np.zeros(n, dtype=np.int64)
-    for start in range(0, sources.size, block):
+    for count, start in enumerate(range(0, sources.size, block), start=1):
         rows = row_of[sources[start:start + block]]
         own = (rows, words[:rows.size])
         plane[own] = bits[:rows.size]
@@ -364,9 +377,13 @@ def _plane_sweep_counts(np, tables: tuple, sources, first_levels, block):
                 dest |= plane.take(parents, axis=0)
         plane[own] &= ~bits[:rows.size]
         base = int(level_offsets[first])
-        by_row[base:] += _popcount_rows(np, plane[base:n])
+        tally[base:] += _word_popcounts(np, plane[base:n])
         # Rows above ``base`` only ever held the own bits just cleared.
         plane[base:n] = 0
+        if count % fold_every == 0:
+            by_row += tally.sum(axis=1, dtype=np.int64)
+            tally[:] = 0
+    by_row += tally.sum(axis=1, dtype=np.int64)
     counts = np.empty(n, dtype=np.int64)
     counts[node_of_row] = by_row
     return counts

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Collection, Hashable
 
 from repro.analysis.metrics import GraphStats
 from repro.core.base import PlacementResult
-from repro.core.objective import filter_ratio, max_objective, phi
+from repro.core.objective import max_objective, phi
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.propagation.model import PropagationModel
@@ -58,7 +58,9 @@ def placement_payload(
 
     ``phi_empty`` / ``f_max`` are the per-graph constants ``Φ(∅)`` and
     ``F(V)``; passing them (the service's GraphStore caches both) saves
-    two full propagation sweeps per call.
+    two full propagation sweeps per call.  Scoring takes three sweeps at
+    most — ``Φ(∅)``, ``Φ(V)`` and ``Φ(A)`` — and the filter ratio reuses
+    the ``Φ(A)`` behind ``objective``.
 
     ``model`` is the probabilistic relaying model the placement ran
     under, or None for deterministic relaying.  Deterministic payloads
@@ -113,10 +115,6 @@ def placement_payload(
         f_max = max_objective(graph, phi_empty=phi_empty, backend=backend)
     phi_a = phi(graph, result.filters, backend=backend)
     objective = phi_empty - phi_a
-    fr = filter_ratio(
-        graph, result.filters, phi_empty=phi_empty, f_max=f_max,
-        backend=backend,
-    )
     payload = _result_fields(result)
     payload.update(
         {
@@ -124,7 +122,8 @@ def placement_payload(
             "phi": phi_a,
             "objective": objective,
             "f_max": f_max,
-            "filter_ratio": fr,
+            # filter_ratio()'s convention on the Φ(A) just swept.
+            "filter_ratio": 1.0 if f_max == 0 else objective / f_max,
         }
     )
     return payload

@@ -45,6 +45,21 @@ def test_place_json_identical_across_strategies_and_backends():
     assert payloads[0] == payloads[1]
 
 
+def test_place_json_g1_streamed_matches_materialized():
+    # Streamed graphs keep NumPy degree tables; G_1's gains must still
+    # serialize, and equal the materialized graph's.
+    payloads = []
+    for flags in ([], ["--streamed"]):
+        code, out = run_cli([
+            "place", "--dataset", "scale-dag", "--scale", "0.01",
+            "--algorithm", "G_1", "-k", "3", "--json", *flags,
+        ])
+        assert code == 0
+        payloads.append(json.loads(out))
+    assert payloads[0] == payloads[1]
+    assert len(payloads[0]["filters"]) == 3
+
+
 def test_stats_json_payload():
     code, out = run_cli(["stats", "--dataset", "fig1", "--json"])
     assert code == 0

@@ -536,9 +536,9 @@ def test_reach_popcount_fallback_matches_bitwise_count():
         pytest.skip("the popcount fallback is the NumPy engine's")
     from repro.propagation.reach import (
         _plane_sweep_counts,
-        _popcount_rows,
         _sweep_tables,
         _swept_sources,
+        _word_popcounts,
     )
 
     legacy = _NoBitwiseCount(np)
@@ -549,9 +549,9 @@ def test_reach_popcount_fallback_matches_bitwise_count():
     )
     plane[0] = 0
     plane[1] = np.iinfo(np.uint64).max
-    by_bits = [sum(bin(int(w)).count("1") for w in row) for row in plane]
-    assert _popcount_rows(legacy, plane).tolist() == by_bits
-    assert _popcount_rows(np, plane).tolist() == by_bits
+    by_bits = [[bin(int(w)).count("1") for w in row] for row in plane]
+    assert _word_popcounts(legacy, plane).tolist() == by_bits
+    assert _word_popcounts(np, plane).tolist() == by_bits
     for case in REACH_EDGE_CASES:
         graph = _reach_edge_graph(case)
         compiled = graph.compiled()
@@ -568,3 +568,31 @@ def test_reach_popcount_fallback_matches_bitwise_count():
             )
             assert fallback.tolist() == native.tolist()
             assert native.tolist() == _oracle_reach_counts(graph)
+
+
+def _wide_merge_graph() -> CGraph:
+    """600 sources merging into one hub: ``nreach`` past a uint8 word."""
+    edges = {(s, 600) for s in range(600)}
+    edges |= {(s, 601 + s % 7) for s in range(0, 600, 2)}
+    edges |= {(v, 610) for v in range(600, 608)}
+    edges.add((610, 611))
+    return CGraph(sorted(edges), nodes=range(615), sources=range(600))
+
+
+@pytest.mark.parametrize("block", (1, 3, 64, 65, 1000))
+def test_reach_tally_folds_before_it_wraps(block, monkeypatch):
+    """A uint8 tally folds every ``⌊255 / min(64, block)⌋`` blocks (every
+    3 at 64 lanes); on the 600-source hub it would wrap without the
+    fold, and the counts must still match both oracles."""
+    from repro.graphs.compiled import blocked_reach_counts
+    from repro.propagation import reach
+
+    monkeypatch.setattr(reach, "_TALLY_DTYPE", "uint8")
+    graphs = [_reach_edge_graph(case) for case in REACH_EDGE_CASES]
+    for graph in [*graphs, _wide_merge_graph()]:
+        compiled = graph.compiled()
+        expected = _oracle_reach_counts(graph)
+        assert blocked_reach_counts(compiled, block) == expected
+        assert reach.warm_reach_counts(
+            compiled, block=block, workers=1
+        ) == expected

@@ -7,11 +7,13 @@ import pytest
 from repro.exceptions import ParameterError
 from repro.graphs.cgraph import CGraph
 from repro.graphs.io import (
+    EdgeListStream,
     read_edge_list,
     read_edge_list_meta,
     read_edge_list_text,
     write_edge_list,
 )
+from repro.graphs.largescale import compile_edge_list
 from repro.service.store import graph_digest
 
 
@@ -116,3 +118,33 @@ def test_meta_header_roundtrip(tmp_path):
     bare = tmp_path / "bare.txt"
     write_edge_list(graph, bare)
     assert read_edge_list_meta(bare) is None
+
+
+def test_tokens_int_rejects_stay_strings_in_every_reader(tmp_path):
+    # "--5" and "²" pass ``lstrip("-").isdigit()`` but not ``int()``;
+    # "-5" and "007" are ints as before.
+    text = "# isolated: --5\n--5 -5\n-5 ²\n² 007\n"
+    path = tmp_path / "tokens.txt"
+    path.write_text(text, encoding="utf-8")
+    edges = {("--5", -5), (-5, "²"), ("²", 7)}
+    nodes = {"--5", -5, "²", 7}
+    for graph in (
+        read_edge_list(path),
+        read_edge_list_text(text),
+        compile_edge_list(path),
+    ):
+        assert set(graph.edges()) == edges
+        assert set(graph.nodes()) == nodes
+    stream = EdgeListStream(path)
+    assert set(stream.edges()) == edges
+    assert stream.isolated == ["--5"]
+
+
+def test_int_rejected_tokens_roundtrip(tmp_path):
+    graph = CGraph([("--5", "²"), ("²", 3)], nodes=["-x-"], sources=["--5"])
+    path = tmp_path / "g.txt"
+    write_edge_list(graph, path)
+    back = read_edge_list(path)
+    assert set(back.edges()) == set(graph.edges())
+    assert set(back.nodes()) == set(graph.nodes())
+    assert back.sources == graph.sources

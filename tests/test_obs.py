@@ -384,6 +384,31 @@ def test_cli_place_trace_tree_sums_to_wall_clock(capsys):
     assert sum(phases.values()) == pytest.approx(total, rel=0.10)
 
 
+def test_cli_place_score_takes_three_phi_sweeps(capsys):
+    """Φ(∅), Φ(V) and Φ(A) once each, in both output forms, and the text
+    report prints the payload's own numbers."""
+    from repro.cli import main
+
+    argv = ["place", "--dataset", "fig1", "-k", "2", "--trace"]
+    outputs = {}
+    for form in ([], ["--json"]):
+        assert main([*argv, *form]) == 0
+        report, _, tree = capsys.readouterr().out.partition("\ntrace trace-")
+        score = tree[tree.index("─ place.score"):]
+        assert score.count("engine.total_receipts") == 3
+        outputs[bool(form)] = report
+    payload = json.loads(outputs[True])
+    fields = dict(
+        (key.strip(), value.strip())
+        for key, _, value in (
+            line.partition(":") for line in outputs[False].splitlines()
+        )
+    )
+    assert fields["Phi(A)"] == str(payload["phi"])
+    assert fields["F(A)"] == str(payload["objective"])
+    assert fields["Filter Ratio"] == f"{payload['filter_ratio']:.4f}"
+
+
 def test_cli_place_profile_writes_chrome_trace(tmp_path, capsys):
     from repro.cli import main
 

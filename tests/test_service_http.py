@@ -97,6 +97,12 @@ def test_http_upload_edges(server):
     assert placed["result"]["filters"] == ["'c'"]
 
 
+def test_http_upload_keeps_int_rejected_tokens_as_strings(server):
+    status, doc = call(server, "POST", "/graphs", {"edges": "--5 1\n1 2\n"})
+    assert status == 201
+    assert doc["nodes"] == 3 and doc["edges"] == 2
+
+
 def test_http_error_statuses(server):
     assert call(server, "GET", "/nope")[0] == 404
     assert call(server, "GET", "/jobs/job-999999")[0] == 404
