@@ -27,9 +27,11 @@ Two sessions implement this contract:
   ``(T(v) − nreach(v)) · W(v)``.  One wavefront regardless of the
   source count.
 * :class:`ExactLaneGainSession` — the *lanes*-tier session, one ψ lane
-  per source; the semantic reference the aggregate session (and the
-  vectorized session in :mod:`repro.backends.numpy_backend`) is held
+  per source; the semantic reference the aggregate session is held
   bit-identical to by the differential fuzz harness.
+
+Both backends open these sessions: the numpy backend's ``gain_session``
+returns the python backend's of the same tier.
 
 Both report the same changed-id sets: adding a filter only decreases
 every ψ lane pointwise, so ``ΔT < 0`` wherever *any* lane moved — per

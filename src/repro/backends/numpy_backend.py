@@ -2,40 +2,45 @@
 
 Strategy
 --------
-The exact engine walks the topological order node by node, per source, in
-Python.  This backend reuses the **shared compiled view**'s levelization
+The exact engine walks the topological order node by node in Python.
+This backend reuses the **shared compiled view**'s levelization
 (:meth:`repro.graphs.cgraph.CGraph.compiled`: level = longest path from
 any root, so every edge crosses strictly upward), adapts its CSR arrays
-to ndarrays once per graph, and then runs every sweep as a handful of
-array operations per level:
+to ndarrays once per graph, groups each level's edges for
+``np.add.reduceat`` segment sums, and then answers every deterministic
+query with **two** 1-D sweeps, whatever the source count:
 
-* **Forward ψ pass** — all sources at once.  ``psi`` is a
-  ``(num_sources, num_nodes)`` int64 matrix; for each level the emission
-  block is ``ψ`` clamped to one on filter columns (and pinned to one on
-  each source's own column), and a single ``np.add.at`` scatters it along
-  the level's out-edges.  One pass prices *every* item simultaneously.
+* **Forward T pass** — the aggregate totals ``T(v) = Σ_s ψ_s(v)``.  An
+  edge ``(u, v)`` carries ``E(u) = (nreach(u) if u ∈ A else T(u)) +
+  [u is a source]``: a filter forwards one copy of each item it
+  receives, and ``nreach(u)`` — the number of sources reaching ``u`` —
+  does not depend on the filters.  It is the packed popcount of the
+  blocked reachability warm (:mod:`repro.propagation.reach`), run once
+  per graph.
 * **Backward W pass** — the absorbing suffix
-  ``W(v) = Σ_{u ∈ children(v)} (1 + [u ∉ A]·W(u))`` as one gather/scatter
-  per level in reverse.
-* ``I(v | A) = (Σ_s max(ψ_s(v) − 1, 0)) · W(v)`` and
-  ``I'(v) = (Σ_s ψ_s(v)) · dout(v)`` are then elementwise products.
+  ``W(v) = Σ_{u ∈ children(v)} (1 + [u ∉ A]·W(u))``, one gather and
+  segment sum per level in reverse.
+* ``I(v | A) = (T(v) − nreach(v)) · W(v)`` and ``I'(v) = T(v) · dout(v)``
+  are then elementwise products.  Adding filters never cuts a source
+  off, so ``Σ_s max(ψ_s(v) − 1, 0) = T(v) − nreach(v)`` for every
+  filter set.
 
-Sweep tiers
------------
-Like the python backend, this backend exposes two deterministic sweep
-**tiers**, chosen at construction and bit-identical by contract:
+Sampled models add a world axis: the batched sampled sweeps keep one
+``ψ`` row per (world, item), ``(trials · S, n)``, and one ``W`` row per
+world.  Those rows, and the sampled probe's float64 ``(S, n)`` level-sum
+bound, are the module's only per-source arrays.
 
-* ``bitpack`` (default) — source reachability is packed into ``uint64``
-  words (64 sources per lane) and swept once per graph by the blocked
-  warm in :mod:`repro.propagation.reach`; every evaluation then
-  runs **two** 1-D sweeps — the aggregate totals ``T(v) = Σ_s ψ_s(v)``
-  and the suffix ``W`` — regardless of the source count, using
-  ``I(v | A) = (T(v) − nreach(v)) · W(v)`` (``nreach`` is the packed
-  popcount of sources reaching ``v``: since adding filters never cuts a
-  source off, ``Σ_s max(ψ_s − 1, 0) = T − nreach`` for any filter set).
-* ``lanes`` — the historical per-source formulation: the
-  ``(num_sources, n)`` ψ matrix.  Kept as the differential reference and
-  the ``bitpack_speedup`` bench baseline.
+Tiers and sessions
+------------------
+The constructor takes the python backend's ``tier=``.  ``bitpack`` (the
+default) runs the sweeps above.  ``lanes`` — the per-source
+formulation, kept as the differential reference and the
+``bitpack_speedup`` bench baseline — has no NumPy sweep: its
+deterministic queries run on ``PythonBackend(tier="lanes")``.  Gain
+sessions are the python backend's of the same tier
+(:class:`~repro.backends.incremental.ExactGainSession` or
+:class:`~repro.backends.incremental.ExactLaneGainSession`).  Sampled
+sweeps ignore the tier.
 
 Exactness and overflow
 ----------------------
@@ -52,7 +57,7 @@ feeds the bounds to the shared dtype-probe ladder
 * ``limbs`` — something crosses the limit (``plan.exact_only``: int64 is
   unsafe) but every probe value is finite.  ``T`` and ``W`` each take
   their own :func:`~repro.backends.probe.limb_count` from their bound,
-  and the bitpack sweeps carry them as ``(k, n)`` int64 arrays of
+  and the sweeps carry them as ``(k, n)`` int64 arrays of
   base-``2**32`` limbs, carrying over each level's destinations.  The
   products ``(T − nreach)·W``, ``T·dout`` and ``T·weight`` are taken on
   Python ints built from the limbs (``hi << 32`` plus ``lo``), so the
@@ -62,11 +67,11 @@ feeds the bounds to the shared dtype-probe ladder
   :class:`~repro.backends.python_backend.PythonBackend`, whose big
   integers cannot overflow.
 
-What has no limb sweep still delegates whenever ``plan.exact_only`` is
-set: the ``lanes`` tier, gain sessions, sampled models and per-source
-weight mappings.  Uniform weights are multiplied in on the limb path;
-per-source mappings re-check the bound against the supplied weights.
-The equivalence tests assert bit-identical results across every route.
+Uniform weights are multiplied in on either row form.  Per-source weight
+mappings delegate, and so do sampled models whenever a per-world value
+or a cross-world sum could pass int64: the sampled sweeps carry no
+limbs.  The equivalence tests assert bit-identical results across every
+route.
 """
 
 from __future__ import annotations
@@ -86,11 +91,10 @@ from repro.backends.probe import (
 )
 from repro.backends.python_backend import PythonBackend, check_tier
 from repro.backends.sampled import SampledEvaluationMixin
-from repro.propagation.reach import _multi_arange
 
 Node = Hashable
 
-__all__ = ["NumpyBackend", "NumpyGainSession", "numpy_available", "OVERFLOW_LIMIT"]
+__all__ = ["NumpyBackend", "numpy_available", "OVERFLOW_LIMIT"]
 
 _NUMPY_AVAILABLE: bool | None = None
 
@@ -202,9 +206,9 @@ class _Level:
 class _Plan:
     """Per-graph adapter over the shared compiled view.
 
-    Since the compile-once refactor this is a *thin* layer: the CSR
-    arrays, degree tables, depth/level partition and source indices are
-    all views of :class:`~repro.graphs.compiled.CompiledGraph` data
+    Since the compile-once refactor this is a *thin* layer: the out-CSR
+    offsets, out-degrees, level partition and source indices are all
+    views of :class:`~repro.graphs.compiled.CompiledGraph` data
     (converted to ndarrays once); the only genuinely backend-private
     state is the per-level ``reduceat`` edge groupings and the overflow
     probe's bounds.
@@ -222,24 +226,15 @@ class _Plan:
     compiled: Any = None
     levels: list[_Level] = field(default_factory=list)
     out_degree: Any = None  # int64[n]
-    #: Level (longest path from any root) per node; intp[n].
-    depth: Any = None
-    num_levels: int = 0
-    #: Global out-CSR (natural insertion order) — successors of node v sit
-    #: at ``out_dst[out_offsets[v]:out_offsets[v+1]]``.
+    #: Out-CSR segment starts — node v's out-edges are the forward-CSR
+    #: positions ``out_offsets[v]:out_offsets[v+1]`` (the sampled
+    #: sweeps' per-world live out-degrees).
     out_offsets: Any = None  # intp[n+1]
-    out_dst: Any = None  # intp[m]
-    #: Global in-CSR — predecessors of node v sit at
-    #: ``in_src[in_offsets[v]:in_offsets[v+1]]``.
-    in_offsets: Any = None  # intp[n+1]
-    in_src: Any = None  # intp[m]
-    #: ψ-matrix row of the source whose column this is, −1 elsewhere.
-    col_to_row: Any = None  # intp[n]
-    #: 1 on source columns, 0 elsewhere — the bitpack tier's per-node
-    #: emission bonus (a designated source emits its own item on top of
+    #: 1 on source columns, 0 elsewhere — the per-node emission bonus of
+    #: the T sweep (a designated source emits its own item on top of
     #: whatever it relays).
     src_bonus: Any = None  # int64[n]
-    #: Lazily-built packed reachability counts (the bitpack tier's
+    #: Lazily-built packed reachability counts (the T sweep's
     #: per-graph constant): ``nreach[v]`` = number of sources reaching
     #: ``v``, excluding ``v`` itself.  ``None`` until first needed.
     nreach: Any = None  # int64[n] | None
@@ -302,7 +297,12 @@ class _SampledState:
 
 
 class NumpyBackend(SampledEvaluationMixin):
-    """Levelized dense propagation on int64 arrays, exact or bust."""
+    """Levelized propagation in two 1-D sweeps, exact at any magnitude.
+
+    ``T`` and ``W`` run on int64 rows, or on base-``2**32`` limbs past
+    int64; the lanes tier, gain sessions, per-source weights and
+    non-finite probes run on the python backend of the same tier.
+    """
 
     name = "numpy"
 
@@ -385,16 +385,9 @@ class NumpyBackend(SampledEvaluationMixin):
         dst = np.array(compiled.out_targets, dtype=np.intp)
         plan.out_degree = counts.astype(np.int64)
         plan.out_offsets = np.array(compiled.out_offsets, dtype=np.intp)
-        plan.out_dst = dst
-        # Global in-CSR (edges grouped by destination) — the incremental
-        # gain session recomputes a node's receipts from all its parents.
-        plan.in_offsets = np.array(compiled.in_offsets, dtype=np.intp)
-        plan.in_src = np.array(compiled.in_sources, dtype=np.intp)
 
         num_levels = compiled.num_levels
         depth = np.array(compiled.depth, dtype=np.intp)
-        plan.depth = depth
-        plan.num_levels = num_levels
         # compiled.topo_order is sorted by (depth, id) — exactly the
         # stable by-level node grouping, with the level partition already
         # computed.
@@ -410,9 +403,9 @@ class NumpyBackend(SampledEvaluationMixin):
             edge_level[edges_by_level], np.arange(num_levels + 1)
         )
         source_idx = np.array(compiled.source_ids, dtype=np.intp)
+        # Sampled-ψ row of the source whose column this is, −1 elsewhere.
         col_to_row = np.full(n, -1, dtype=np.intp)
         col_to_row[source_idx] = np.arange(source_idx.size, dtype=np.intp)
-        plan.col_to_row = col_to_row
         # Source rows grouped by depth once (ascending rows within a
         # depth), so each level slices out its origins.
         origins_by_depth = np.argsort(depth[source_idx], kind="stable")
@@ -610,25 +603,12 @@ class NumpyBackend(SampledEvaluationMixin):
         return mask
 
     def _gains_list(self, plan: _Plan, mask: Any) -> list[int]:
-        """``I(v | A)`` as exact ints for a prepared boolean mask.
-
-        The bitpack tier computes ``(T − nreach) · W`` (two 1-D sweeps):
-        an int64 product when the probe allows, else Python-int products
-        of the limb sweeps.  The lanes tier (int64 plans only) sums
-        ``max(ψ_s − 1, 0)`` over the ψ matrix (one row per source).
-        Bit-identical: ``ψ_s(v) ≥ 1`` exactly when ``s`` reaches ``v``,
-        for every filter set.
-        """
-        np = self._np
+        """``I(v | A) = (T − nreach) · W`` as exact ints for a prepared
+        boolean mask: an int64 product when the probe allows, else
+        Python-int products of the limb sweeps."""
         w = self._suffix_limbs(plan, mask)
-        if self.tier == "bitpack":
-            surplus = self._totals_limbs(plan, mask)
-            surplus[0] -= self._nreach(plan)
-        else:
-            psi = self._psi_matrix(plan, mask)
-            np.subtract(psi, 1, out=psi)
-            np.maximum(psi, 0, out=psi)
-            surplus = psi.sum(axis=0)[None, :]
+        surplus = self._totals_limbs(plan, mask)
+        surplus[0] -= self._nreach(plan)
         if plan.exact_only:
             w[:, mask] = 0
             return [
@@ -639,41 +619,14 @@ class NumpyBackend(SampledEvaluationMixin):
         return gains.tolist()
 
     def _impact_list(self, plan: _Plan, mask: Any) -> list[int]:
-        """``I'(v) = T(v) · dout(v)`` as exact ints (tier-dispatched)."""
-        if self.tier == "bitpack":
-            totals = self._totals_limbs(plan, mask)
-        else:
-            totals = self._psi_matrix(plan, mask).sum(axis=0)[None, :]
+        """``I'(v) = T(v) · dout(v)`` as exact ints."""
+        totals = self._totals_limbs(plan, mask)
         if plan.exact_only:
             return [
                 t * d
                 for t, d in zip(_limb_ints(totals), plan.out_degree.tolist())
             ]
         return (totals[0] * plan.out_degree).tolist()
-
-    def _psi_matrix(self, plan: _Plan, mask: Any) -> Any:
-        """``ψ`` for all sources at once: shape ``(num_sources, n)``."""
-        np = self._np
-        psi = np.zeros((len(plan.sources), plan.n), dtype=np.int64)
-        for lvl in plan.levels:
-            if not lvl.has_edges:
-                continue
-            block = psi[:, lvl.nodes]  # fancy index: a fresh copy
-            lvl_mask = mask[lvl.nodes]
-            if lvl_mask.any():
-                emit = np.where(
-                    lvl_mask[None, :],
-                    (block > 0).astype(np.int64),
-                    block,
-                )
-            else:
-                emit = block
-            if lvl.origin_rows.size:
-                emit[lvl.origin_rows, lvl.origin_cols] = 1
-            psi[:, lvl.fwd_uniq_dst] += np.add.reduceat(
-                emit[:, lvl.fwd_src_local], lvl.fwd_offsets, axis=1
-            )
-        return psi
 
     def _suffix_limbs(self, plan: _Plan, mask: Any) -> Any:
         """``W`` (item-independent) in one backward sweep.
@@ -712,7 +665,7 @@ class NumpyBackend(SampledEvaluationMixin):
         return w
 
     # ------------------------------------------------------------------
-    # Bit-packed tier: packed reachability + aggregate totals
+    # Packed reachability + aggregate totals
     # ------------------------------------------------------------------
 
     def _nreach(self, plan: _Plan) -> Any:
@@ -782,32 +735,22 @@ class NumpyBackend(SampledEvaluationMixin):
 
     def _delegates(self, plan: _Plan) -> bool:
         """True when deterministic queries must run on the exact backend:
-        a non-finite probe, or an int64-unsafe plan on the lanes tier,
-        which has no limb sweeps."""
-        return plan.representation == "exact" or (
-            plan.exact_only and self.tier == "lanes"
-        )
+        the lanes tier, which has no NumPy sweep, or a non-finite
+        probe."""
+        return self.tier == "lanes" or plan.representation == "exact"
 
     def gain_session(
         self,
         graph: CGraph,
         filters: Collection[Node] = (),
     ):
-        """Open an incremental :class:`GainSession` (vectorized).
+        """Open the python backend's :class:`GainSession` of this tier.
 
-        Construction runs one batched ``ψ``/``W`` sweep; each subsequent
-        ``add_filter`` re-settles only the dirty columns level by level.
-        Graphs whose counts could overflow int64 transparently get the
-        exact big-int session instead — same results, slower deltas.
+        Its big-int wavefronts re-settle only the affected region after
+        each placement, with the same results as the one-shot sweeps
+        here at any magnitude.
         """
-        if not graph.sources:
-            raise MissingSourceError("graph has no sources")
-        filter_set = set(filters)
-        validate_filter_set(graph, filter_set)
-        plan = self.plan_for(graph)
-        if plan.exact_only:
-            return self._exact.gain_session(graph, filter_set)
-        return NumpyGainSession(self, graph, plan, filter_set)
+        return self._exact.gain_session(graph, filters)
 
     def _receipts_list(
         self,
@@ -817,46 +760,28 @@ class NumpyBackend(SampledEvaluationMixin):
     ) -> "list[int] | None":
         """Weighted receipts per node in id order; None means delegate.
 
-        Uniform weights on the bitpack tier scale one ``T`` sweep: int64
-        when the probe and the weight allow, else exact Python-int
-        products of the limb sweep.  Per-source mappings (and the lanes
-        tier) weight the ψ matrix, and return None — the exact backend's
-        job — when the plan's overflow probe or the supplied weights put
-        any value near ``2**63``.
+        A uniform weight scales one ``T`` sweep: int64 when the probe
+        and the weight allow, else exact Python-int products of the limb
+        sweep.  Per-source mappings return None — the exact backend's
+        job — as do delegating plans.
         """
         if not graph.sources:
             raise MissingSourceError("graph has no sources")
         validate_filter_set(graph, set(filters))
         plan = self.plan_for(graph)
-        np = self._np
-        uniform = not isinstance(items_per_source, Mapping)
-        if uniform:
-            max_weight = max(items_per_source, 0)
-        else:
-            weights = [max(items_per_source.get(s, 0), 0) for s in plan.sources]
-            max_weight = max(weights, default=0)
+        if self._delegates(plan) or isinstance(items_per_source, Mapping):
+            return None
+        weight = max(items_per_source, 0)
+        totals = self._totals_limbs(plan, self._filter_mask(plan, filters))
         # Compare before multiplying: a weight beyond float64 range would
         # raise OverflowError in the product.
-        fits = not (
+        if (
             plan.exact_only
-            or max_weight >= OVERFLOW_LIMIT
-            or max_weight * plan.psi_bound >= OVERFLOW_LIMIT
-        )
-        mask = self._filter_mask(plan, filters)
-        if self.tier == "bitpack" and uniform:
-            if self._delegates(plan):
-                return None
-            totals = self._totals_limbs(plan, mask)
-            if fits:
-                return (totals[0] * max_weight).tolist()
-            return [t * max_weight for t in _limb_ints(totals)]
-        if not fits:
-            return None
-        psi = self._psi_matrix(plan, mask)
-        if uniform:
-            return (psi.sum(axis=0) * max_weight).tolist()
-        wvec = np.array(weights, dtype=np.int64)
-        return (psi * wvec[:, None]).sum(axis=0).tolist()
+            or weight >= OVERFLOW_LIMIT
+            or weight * plan.psi_bound >= OVERFLOW_LIMIT
+        ):
+            return [t * weight for t in _limb_ints(totals)]
+        return (totals[0] * weight).tolist()
 
     def node_receipts(
         self,
@@ -948,10 +873,10 @@ class NumpyBackend(SampledEvaluationMixin):
     #
     # The sampled worlds (shared with the python backend, see
     # repro.propagation.sampling) become one extra *sample axis* on the
-    # level-synchronous sweeps: ψ grows from (S, n) to (T, S, n) and W
-    # from (n,) to (T, n), with each level's scatter multiplied by the
-    # level's (T, E_l) live-edge mask before the reduceat.  No per-trial
-    # graph rebuilds, no per-trial python loops — one pass prices every
+    # level-synchronous sweeps: ψ is kept per (world, item), (T·S, n),
+    # and W per world, (T, n), with each level's segment sums multiplied
+    # by the level's (T, E_l) live-edge mask.  No per-trial graph
+    # rebuilds, no per-trial python loops — one pass prices every
     # (world, item) pair simultaneously.
 
     def _sampled_state(self, graph: CGraph, plan: _Plan, model) -> "_SampledState":
@@ -1233,253 +1158,14 @@ class NumpyBackend(SampledEvaluationMixin):
     def warm(self, graph: CGraph) -> None:
         """Adapt (and cache) the shared compiled plan outside timed regions.
 
-        On the bitpack tier this also runs the blocked reachability warm
-        (the tier's only other per-graph preprocessing), so timed solve
-        regions never pay for it — limb plans included, since their
-        sweeps stay here.  Plans whose queries delegate warm the exact
-        backend instead — it consumes the same shared counts.
+        This also runs the blocked reachability warm (the sweeps' only
+        other per-graph preprocessing), so timed solve regions never pay
+        for it — limb plans included, since their sweeps stay here.
+        Plans whose queries delegate warm the exact backend instead — it
+        consumes the same shared counts.
         """
         plan = self.plan_for(graph)
         if self._delegates(plan):
             self._exact.warm(graph)
-        elif self.tier == "bitpack":
+        else:
             self._nreach(plan)
-
-
-class NumpyGainSession:
-    """Vectorized incremental gains: dirty-column waves over the levels.
-
-    State (all int64, safe because the plan's ``A = ∅`` overflow probe
-    bounds every value any filter set can produce — filters only shrink
-    ``ψ`` and ``W``):
-
-    * ``ψ`` — ``(num_sources, n)`` receipts matrix;
-    * ``emit`` — the matching per-edge emission matrix (``ψ`` clamped to
-      one on filter columns with receipts, pinned to one on each source's
-      own column), kept in sync so a node's receipts can be re-derived
-      from its parents alone;
-    * ``W`` — the absorbing suffix vector;
-    * ``surplus`` — ``Σ_s max(ψ_s(v) − 1, 0)`` per column;
-    * ``gains`` — ``surplus · W``, zeroed on filter columns.
-
-    :meth:`add_filter` runs two restricted wavefronts.  Forward: starting
-    from the new filter's successors, each level's dirty columns get
-    their receipts re-gathered from the global in-CSR; columns whose
-    ``ψ`` moved update ``surplus``/``emit``, and emission changes dirty
-    their successors.  Backward: the mirror image over the out-CSR for
-    ``W``, walking levels in reverse from the filter's predecessors.
-    Waves die out exactly where the full sweep would produce unchanged
-    numbers, so results stay bit-identical to
-    :meth:`NumpyBackend.marginal_gains` (and to the exact session).
-    """
-
-    backend_name = "numpy"
-
-    def __init__(
-        self,
-        backend: NumpyBackend,
-        graph: CGraph,
-        plan: _Plan,
-        filters: set[Node],
-    ) -> None:
-        np = backend._np
-        self._np = np
-        self._backend = backend
-        self._plan = plan
-        self._nodes_touched = 0
-
-        mask = backend._filter_mask(plan, filters)
-        psi = backend._psi_matrix(plan, mask)
-        w = backend._suffix_limbs(plan, mask)[0]  # int64 plans: one limb
-        emit = np.where(mask[None, :], (psi > 0).astype(np.int64), psi)
-        rows = np.flatnonzero(plan.col_to_row >= 0)
-        emit[plan.col_to_row[rows], rows] = 1
-        surplus = np.maximum(psi - 1, 0).sum(axis=0)
-        gains = surplus * w
-        gains[mask] = 0
-
-        self._mask = mask
-        self._psi = psi
-        self._emit = emit
-        self._w = w
-        self._surplus = surplus
-        self._gains = gains
-
-    # ------------------------------------------------------------------
-    # GainSession interface
-    # ------------------------------------------------------------------
-
-    @property
-    def filters(self) -> frozenset[Node]:
-        np = self._np
-        nodes = self._plan.node_list
-        return frozenset(nodes[j] for j in np.flatnonzero(self._mask).tolist())
-
-    @property
-    def nodes_touched(self) -> int:
-        return self._nodes_touched
-
-    def gains(self) -> dict[Node, int]:
-        """All current ``I(v | A)``, keyed in ``graph.nodes()`` order."""
-        return dict(zip(self._plan.node_list, self._gains.tolist()))
-
-    def gain(self, node: Node) -> int:
-        """Current exact ``I(node | A)`` — one array read."""
-        return int(self._gains[self._plan.index[node]])
-
-    def add_filter(self, node: Node) -> frozenset[Node]:
-        """Place ``node``; re-settle dirty columns; return changed nodes."""
-        plan = self._plan
-        try:
-            i = plan.index[node]
-        except KeyError:
-            from repro.exceptions import MissingNodeError
-
-            raise MissingNodeError(node) from None
-        return frozenset(
-            plan.node_list[j] for j in self.add_filter_id(i)
-        )
-
-    def gains_ids(self) -> list[int]:
-        """All current gains as a fresh list indexed by interned id."""
-        return self._gains.tolist()
-
-    def gain_id(self, node_id: int) -> int:
-        """Current exact gain of one interned id — one array read."""
-        return int(self._gains[node_id])
-
-    def add_filter_id(self, node_id: int) -> list[int]:
-        """Place an interned id; re-settle dirty columns; return changed ids."""
-        np = self._np
-        plan = self._plan
-        i = node_id
-        if i < 0 or i >= plan.n:
-            from repro.exceptions import MissingNodeError
-
-            raise MissingNodeError(node_id)
-        if self._mask[i]:
-            from repro.exceptions import ParameterError
-
-            raise ParameterError(
-                f"node {plan.node_list[i]!r} is already a filter"
-            )
-
-        mask, psi, emit, w = self._mask, self._psi, self._emit, self._w
-        mask[i] = True
-        affected = np.zeros(plan.n, dtype=bool)
-        affected[i] = True
-
-        # Emission at the new filter drops from ψ to min(ψ, 1) per row
-        # (the row whose source *is* this column stays pinned at one).
-        old_emit_col = emit[:, i].copy()
-        new_emit_col = (psi[:, i] > 0).astype(np.int64)
-        row = plan.col_to_row[i]
-        if row >= 0:
-            new_emit_col[row] = 1
-        emit[:, i] = new_emit_col
-
-        dirty = np.zeros(plan.n, dtype=bool)
-        if (new_emit_col != old_emit_col).any():
-            dirty[self._successors_of(np.array([i], dtype=np.intp))] = True
-        self._forward_wave(i, dirty, affected)
-
-        dirty = np.zeros(plan.n, dtype=bool)
-        if w[i] > 0:
-            # Each predecessor's term for this child collapses from
-            # 1 + W to 1.
-            dirty[self._predecessors_of(np.array([i], dtype=np.intp))] = True
-        self._backward_wave(i, dirty, affected)
-
-        idx = np.flatnonzero(affected)
-        new_gains = self._surplus[idx] * w[idx]
-        new_gains[mask[idx]] = 0
-        self._gains[idx] = new_gains
-        return idx.tolist()
-
-    # ------------------------------------------------------------------
-    # Wavefronts
-    # ------------------------------------------------------------------
-
-    def _successors_of(self, cols: Any) -> Any:
-        plan = self._plan
-        counts = plan.out_offsets[cols + 1] - plan.out_offsets[cols]
-        pos = _multi_arange(self._np, plan.out_offsets[cols], counts)
-        return plan.out_dst[pos]
-
-    def _predecessors_of(self, cols: Any) -> Any:
-        plan = self._plan
-        counts = plan.in_offsets[cols + 1] - plan.in_offsets[cols]
-        pos = _multi_arange(self._np, plan.in_offsets[cols], counts)
-        return plan.in_src[pos]
-
-    def _forward_wave(self, start: int, dirty: Any, affected: Any) -> None:
-        """Re-settle ψ columns level by level below the new filter."""
-        np = self._np
-        plan = self._plan
-        mask, psi, emit = self._mask, self._psi, self._emit
-        for lvl in range(int(plan.depth[start]) + 1, plan.num_levels):
-            lvl_nodes = plan.levels[lvl].nodes
-            sel = dirty[lvl_nodes]
-            if not sel.any():
-                continue
-            cols = lvl_nodes[sel]
-            dirty[cols] = False
-            self._nodes_touched += int(cols.size)
-            # Dirty columns are successors of something, so every in-CSR
-            # segment below is non-empty — reduceat-safe.
-            in_counts = plan.in_offsets[cols + 1] - plan.in_offsets[cols]
-            parents = self._predecessors_of(cols)
-            seg_starts = np.concatenate(
-                ([0], np.cumsum(in_counts)[:-1])
-            ).astype(np.intp)
-            new_block = np.add.reduceat(emit[:, parents], seg_starts, axis=1)
-            changed = (new_block != psi[:, cols]).any(axis=0)
-            if not changed.any():
-                continue
-            ccols = cols[changed]
-            psi[:, ccols] = new_block[:, changed]
-            block = psi[:, ccols]
-            self._surplus[ccols] = np.maximum(block - 1, 0).sum(axis=0)
-            affected[ccols] = True
-            new_emit = np.where(
-                mask[ccols][None, :], (block > 0).astype(np.int64), block
-            )
-            rows = plan.col_to_row[ccols]
-            pinned = rows >= 0
-            if pinned.any():
-                new_emit[rows[pinned], np.flatnonzero(pinned)] = 1
-            emit_changed = (new_emit != emit[:, ccols]).any(axis=0)
-            emit[:, ccols] = new_emit
-            ecols = ccols[emit_changed]
-            if ecols.size:
-                dirty[self._successors_of(ecols)] = True
-
-    def _backward_wave(self, start: int, dirty: Any, affected: Any) -> None:
-        """Re-settle W columns level by level above the new filter."""
-        np = self._np
-        plan = self._plan
-        mask, w = self._mask, self._w
-        for lvl in range(int(plan.depth[start]) - 1, -1, -1):
-            lvl_nodes = plan.levels[lvl].nodes
-            sel = dirty[lvl_nodes]
-            if not sel.any():
-                continue
-            cols = lvl_nodes[sel]
-            dirty[cols] = False
-            self._nodes_touched += int(cols.size)
-            # Dirty columns are predecessors of something, so every
-            # out-CSR segment below is non-empty — reduceat-safe.
-            out_counts = plan.out_offsets[cols + 1] - plan.out_offsets[cols]
-            children = self._successors_of(cols)
-            contrib = 1 + np.where(mask[children], 0, w[children])
-            seg_starts = np.concatenate(
-                ([0], np.cumsum(out_counts)[:-1])
-            ).astype(np.intp)
-            new_w = np.add.reduceat(contrib, seg_starts)
-            changed = new_w != w[cols]
-            if not changed.any():
-                continue
-            ccols = cols[changed]
-            w[ccols] = new_w[changed]
-            affected[ccols] = True
-            dirty[self._predecessors_of(ccols)] = True

@@ -29,7 +29,7 @@ from repro.core.base import (
     select_best,
 )
 from repro.graphs.cgraph import CGraph
-from repro.propagation.engine import item_receipts_ids, loose_filter_mask
+from repro.propagation.engine import item_receipts_ids
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.base import PropagationBackend
@@ -112,21 +112,6 @@ def simplified_impacts_ids_lanes_exact(
     per source (the *lanes* tier; the fuzz harness's reference)."""
     compiled = graph.compiled()
     return _scores_for_mask_lanes(compiled, compiled.filter_mask(filter_ids))
-
-
-def simplified_impacts_exact(
-    graph: CGraph,
-    filters: set[Node],
-    *,
-    _order: tuple[Node, ...] | None = None,
-) -> dict[Node, int]:
-    """:func:`simplified_impacts` via the exact big-int index sweeps (the
-    ``python`` backend's implementation).  ``_order`` is deprecated and
-    ignored (the compiled view caches its own topological order)."""
-    compiled = graph.compiled()
-    scores = _scores_for_mask(compiled, loose_filter_mask(compiled, filters))
-    # Keyed in graph.nodes() order — the cross-backend canonical order.
-    return dict(zip(compiled.nodes, scores))
 
 
 class GreedyL:

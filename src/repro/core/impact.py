@@ -39,7 +39,8 @@ node-keyed entry points translate only at the boundary.
 :func:`marginal_gains` dispatches through the pluggable backend registry
 (:mod:`repro.backends.registry`): the index sweeps below are the ``python``
 backend's implementation, and the ``numpy`` backend computes the same
-``ψ``/``W`` passes as batched level-synchronous array operations.
+``W`` pass, with ``ψ`` summed over sources, as level-synchronous array
+operations.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from typing import TYPE_CHECKING, Hashable
 
 from repro.exceptions import MissingSourceError
 from repro.graphs.cgraph import CGraph
-from repro.graphs.validation import validate_filter_set
 from repro.propagation.engine import (
     item_receipts,
     item_receipts_ids,
@@ -225,23 +225,6 @@ def marginal_gains_ids_lanes_exact(
                 if wv:
                     gains[v] += (count - 1) * wv
     return gains
-
-
-def marginal_gains_exact(
-    graph: CGraph,
-    filters: Collection[Node] = (),
-) -> dict[Node, int]:
-    """:func:`marginal_gains` via the exact big-int index sweeps (the
-    ``python`` backend's implementation)."""
-    if not graph.sources:
-        raise MissingSourceError("graph has no sources")
-    filter_set = set(filters)
-    validate_filter_set(graph, filter_set)
-    compiled = graph.compiled()
-    gains = marginal_gains_ids_exact(graph, compiled.to_ids(filter_set))
-    # Keyed in graph.nodes() order — the cross-backend canonical order, so
-    # serialized results match the numpy backend's byte for byte.
-    return dict(zip(compiled.nodes, gains))
 
 
 def impacts(

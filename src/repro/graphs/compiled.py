@@ -32,7 +32,7 @@ index compare *is* a rank compare.  On top of the tables sit:
   sorted by ``(depth, id)``, and level ``L`` occupies
   ``topo_order[level_offsets[L]:level_offsets[L + 1]]``.  Every edge
   crosses strictly upward in depth, which is exactly the property the
-  levelized vectorized sweeps and the dirty-column wavefronts need.
+  levelized vectorized sweeps need.
 
 Cyclic graphs still compile — the structural tables (CSR, degrees,
 sources) are well-defined and cheap — but ``is_dag`` is False and the

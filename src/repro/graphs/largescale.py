@@ -238,57 +238,103 @@ def compile_edge_stream(
     :class:`~repro.exceptions.MissingNodeError` — the same contracts as
     the materialized path.
     """
+    if num_nodes is None:
+        us, vs, index, node_list = _intern_edges(edges)
+        return _interned_graph(us, vs, index, node_list, isolated, sources)
+    n = int(num_nodes)
+    if n < 0 or n > _INT32_NODES:
+        raise ParameterError(
+            f"num_nodes={num_nodes!r} outside the int32 tier [0, 2^31)"
+        )
     us = array("i")
     vs = array("i")
-
-    if num_nodes is not None:
-        n = int(num_nodes)
-        if n < 0 or n > _INT32_NODES:
-            raise ParameterError(
-                f"num_nodes={num_nodes!r} outside the int32 tier [0, 2^31)"
+    for u, v in edges:
+        if not (isinstance(u, int) and 0 <= u < n):
+            raise MissingNodeError(u)
+        if not (isinstance(v, int) and 0 <= v < n):
+            raise MissingNodeError(v)
+        if u == v:
+            raise GraphStructureError(
+                f"self-loop {u!r} -> {v!r} is not allowed in a c-graph"
             )
-        for u, v in edges:
-            if not (isinstance(u, int) and 0 <= u < n):
-                raise MissingNodeError(u)
-            if not (isinstance(v, int) and 0 <= v < n):
-                raise MissingNodeError(v)
-            if u == v:
-                raise GraphStructureError(
-                    f"self-loop {u!r} -> {v!r} is not allowed in a c-graph"
-                )
-            us.append(u)
-            vs.append(v)
-        nodes = None
-        node_list = range(n)
-    else:
-        index: dict[Node, int] = {}
-        node_list = []
-        append_node = node_list.append
-        get_id = index.get
-        for u, v in edges:
-            iu = get_id(u)
-            if iu is None:
-                iu = index[u] = len(node_list)
-                append_node(u)
-            iv = get_id(v)
-            if iv is None:
-                iv = index[v] = len(node_list)
-                append_node(v)
-            if iu == iv:
-                raise GraphStructureError(
-                    f"self-loop {u!r} -> {v!r} is not allowed in a c-graph"
-                )
-            us.append(iu)
-            vs.append(iv)
-        for node in isolated:
-            if node not in index:
-                index[node] = len(node_list)
-                append_node(node)
-        n = len(node_list)
-        if n > _INT32_NODES:  # pragma: no cover - 2^31 nodes
-            raise ParameterError("graph exceeds the int32 interning tier")
-        nodes = node_list
+        us.append(u)
+        vs.append(v)
 
+    def to_id(s: Node) -> int | None:
+        return s if isinstance(s, int) and 0 <= s < n else None
+
+    return _graph_from_buffers(n, us, vs, None, sources, to_id)
+
+
+def _intern_edges(
+    edges: Iterable[tuple[Node, Node]],
+) -> tuple[array, array, dict[Node, int], list[Node]]:
+    """Intern an edge stream in first-seen ``(u, v)`` order.
+
+    Returns the two ``int32`` endpoint buffers, the node → id index and
+    the node list.  Self-loops raise
+    :class:`~repro.exceptions.GraphStructureError` here; duplicate
+    edges are caught by the CSR build.
+    """
+    us = array("i")
+    vs = array("i")
+    index: dict[Node, int] = {}
+    node_list: list[Node] = []
+    append_node = node_list.append
+    get_id = index.get
+    for u, v in edges:
+        iu = get_id(u)
+        if iu is None:
+            iu = index[u] = len(node_list)
+            append_node(u)
+        iv = get_id(v)
+        if iv is None:
+            iv = index[v] = len(node_list)
+            append_node(v)
+        if iu == iv:
+            raise GraphStructureError(
+                f"self-loop {u!r} -> {v!r} is not allowed in a c-graph"
+            )
+        us.append(iu)
+        vs.append(iv)
+    return us, vs, index, node_list
+
+
+def _interned_graph(
+    us: array,
+    vs: array,
+    index: dict[Node, int],
+    node_list: list[Node],
+    isolated: Iterable[Node],
+    sources: Iterable[Node] | None,
+) -> StreamedGraph:
+    """The post-loop half of an interned compile: append the edge-free
+    ``isolated`` nodes, then build the tables and resolve ``sources``."""
+    for node in isolated:
+        if node not in index:
+            index[node] = len(node_list)
+            node_list.append(node)
+    n = len(node_list)
+    if n > _INT32_NODES:  # pragma: no cover - 2^31 nodes
+        raise ParameterError("graph exceeds the int32 interning tier")
+    return _graph_from_buffers(n, us, vs, node_list, sources, index.get)
+
+
+def _graph_from_buffers(
+    n: int,
+    us: array,
+    vs: array,
+    nodes: list[Node] | None,
+    sources: Iterable[Node] | None,
+    to_id,
+) -> StreamedGraph:
+    """CSR build, source resolution and wrapping for interned buffers.
+
+    ``nodes`` is the interned node list, None for identity ids.
+    ``to_id`` maps a user source to its id, or None when the graph has
+    no such node; ``sources=None`` takes the in-degree-zero nodes.
+    """
+    node_list = range(n) if nodes is None else nodes
     m = len(us)
     if _np is not None:
         tables = _csr_from_buffers_numpy(n, m, us, vs, node_list)
@@ -307,19 +353,12 @@ def compile_edge_stream(
                 if in_offsets[i + 1] == in_offsets[i]
             )
     else:
-        if num_nodes is not None:
-            ids = set()
-            for s in sources:
-                if not (isinstance(s, int) and 0 <= s < n):
-                    raise MissingNodeError(s)
-                ids.add(s)
-        else:
-            ids = set()
-            for s in sources:
-                i = index.get(s)
-                if i is None:
-                    raise MissingNodeError(s)
-                ids.add(i)
+        ids = set()
+        for s in sources:
+            i = to_id(s)
+            if i is None:
+                raise MissingNodeError(s)
+            ids.add(i)
         source_ids = tuple(sorted(ids))
 
     return _wrap_tables(
@@ -432,59 +471,13 @@ def compile_edge_list(
     intermediate :class:`CGraph`.
     """
     stream = EdgeListStream(path)
-    us = array("i")
-    vs = array("i")
-    index: dict[Node, int] = {}
-    node_list: list[Node] = []
-
-    def intern(x: Node) -> int:
-        i = index.get(x)
-        if i is None:
-            i = index[x] = len(node_list)
-            node_list.append(x)
-        return i
-
-    for u, v in stream.edges():
-        iu = intern(u)
-        iv = intern(v)
-        if iu == iv:
-            raise GraphStructureError(
-                f"self-loop {u!r} -> {v!r} is not allowed in a c-graph"
-            )
-        us.append(iu)
-        vs.append(iv)
-    # Directives are complete once the stream is exhausted.
-    for node in stream.isolated:
-        intern(node)
-    n = len(node_list)
-    m = len(us)
-    if _np is not None:
-        tables = _csr_from_buffers_numpy(n, m, us, vs, node_list)
-    else:
-        tables = _csr_from_buffers_python(n, m, us, vs, node_list)
-    out_offsets, out_targets, in_offsets, in_sources = tables
+    us, vs, index, node_list = _intern_edges(stream.edges())
+    # Directives may trail the edges: they are complete only once the
+    # stream is exhausted.
     if sources is None and stream.sources:
         sources = stream.sources
-    if sources is None:
-        source_ids = tuple(
-            i for i in range(n) if in_offsets[i + 1] == in_offsets[i]
-        )
-    else:
-        ids = set()
-        for s in sources:
-            i = index.get(s)
-            if i is None:
-                raise MissingNodeError(s)
-            ids.add(i)
-        source_ids = tuple(sorted(ids))
-    return _wrap_tables(
-        n=n,
-        out_offsets=out_offsets,
-        out_targets=out_targets,
-        in_offsets=in_offsets,
-        in_sources=in_sources,
-        source_ids=source_ids,
-        nodes=node_list,
+    return _interned_graph(
+        us, vs, index, node_list, stream.isolated, sources
     )
 
 

@@ -28,10 +28,11 @@ id-level primitive; the node-keyed entry points translate at the boundary.
 The aggregate entry points (:func:`node_receipts`, :func:`total_receipts`)
 dispatch through the pluggable backend registry
 (:mod:`repro.backends.registry`): the exact big-int sweeps below are the
-``python`` backend's implementation, while the ``numpy`` backend batches
-all sources into vectorized level sweeps (carrying limbs past int64) and
-falls back here when its float64 overflow probe itself overflows.  :func:`item_receipts` is the per-item primitive and always
-runs exactly.
+``python`` backend's implementation, while the ``numpy`` backend sums
+all sources in one vectorized level sweep (carrying limbs past int64)
+and falls back here for per-source weights or when its float64 overflow
+probe itself overflows.  :func:`item_receipts` is the per-item primitive
+and always runs exactly.
 """
 
 from __future__ import annotations
@@ -266,27 +267,3 @@ def total_receipts(
             graph, filters, items_per_source=items_per_source
         )
 
-
-def item_emissions(
-    graph: CGraph,
-    origin: Node,
-    filters: Collection[Node] = (),
-) -> dict[Node, int]:
-    """Copies each node emits *per outgoing edge* for one item.
-
-    Mostly a white-box testing aid: ``received[child] = Σ emissions[parent]``
-    must hold edge-wise, and a filter's emission is capped at one.
-    """
-    received = item_receipts(graph, origin, filters)
-    filter_set = set(filters)
-    emissions: dict[Node, int] = {}
-    for v in graph.nodes():
-        if v == origin:
-            emissions[v] = 1
-        elif received[v] == 0:
-            emissions[v] = 0
-        elif v in filter_set:
-            emissions[v] = 1
-        else:
-            emissions[v] = received[v]
-    return emissions

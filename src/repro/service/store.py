@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import shutil
 import threading
 import time
 from collections import OrderedDict
@@ -29,11 +31,13 @@ from typing import Any, Hashable
 from repro.analysis.metrics import GraphStats, describe
 from repro.core.objective import max_objective, phi
 from repro.datasets.registry import DATASET_NAMES, get_dataset
-from repro.exceptions import ParameterError
+from repro.exceptions import ParameterError, ReproError
 from repro.graphs.cgraph import CGraph
 from repro.graphs.io import read_edge_list_text
 
 Node = Hashable
+
+logger = logging.getLogger("repro.service")
 
 #: Shortest digest prefix accepted by :meth:`GraphStore.get`.
 MIN_DIGEST_PREFIX = 8
@@ -245,7 +249,10 @@ class GraphStore:
         tables *and* warmed reach counts — and a restarted store
         memory-maps the whole set back with
         :func:`~repro.graphs.largescale.load_compiled`, skipping both
-        the compile and the reachability sweep.
+        the compile and the reachability sweep.  A snapshot that does
+        not load (a truncated table, a torn or missing ``store.json``)
+        is renamed to ``<digest>.fpc.corrupt`` and counted in
+        ``quarantined_plans``; the boot goes on without it.
     """
 
     def __init__(
@@ -266,9 +273,11 @@ class GraphStore:
         #: ``stats()`` snapshots counters and residency consistently).
         self.registrations = 0
         self.evictions = 0
-        #: Plans written to / restored from ``persist_dir`` this lifetime.
+        #: Plans written to / restored from / quarantined in
+        #: ``persist_dir`` this lifetime.
         self.persisted = 0
         self.restored = 0
+        self.quarantined = 0
         if self._persist_dir is not None:
             self._restore_persisted()
 
@@ -421,18 +430,24 @@ class GraphStore:
         would only re-walk tables we already trust) and come back with
         their reach counts materialized from the ``.fpc`` reach table —
         the restart pays neither the compile nor the warm sweep.
+
+        A snapshot that fails to load, or has no ``store.json`` (a crash
+        between the tables and the marker), is quarantined instead, so
+        one torn snapshot cannot keep the store from booting and the
+        graph's next registration persists a fresh one.
         """
         from repro.graphs.largescale import load_compiled
 
         self._persist_dir.mkdir(parents=True, exist_ok=True)
         for target in sorted(self._persist_dir.glob("*.fpc")):
-            marker = target / "store.json"
-            if not marker.is_file():
+            try:
+                with open(target / "store.json", "r", encoding="utf-8") as handle:
+                    info = json.load(handle)
+                digest = str(info["digest"])
+                graph = load_compiled(target)
+            except (OSError, ValueError, KeyError, TypeError, ReproError) as exc:
+                self._quarantine(target, exc)
                 continue
-            with open(marker, "r", encoding="utf-8") as handle:
-                info = json.load(handle)
-            digest = str(info["digest"])
-            graph = load_compiled(target)
             entry = GraphEntry(
                 digest,
                 graph,
@@ -442,6 +457,28 @@ class GraphStore:
             with self._lock:
                 self._entries[digest] = entry
             self.restored += 1
+
+    def _quarantine(self, target: Path, error: Exception) -> None:
+        """Move an unloadable snapshot aside as ``<name>.corrupt``.
+
+        An older quarantined copy of the same snapshot is replaced.  The
+        rename clears the ``meta.json`` that :meth:`_persist_entry`
+        checks, so the next registration writes a fresh snapshot.
+        """
+        corrupt = target.with_name(f"{target.name}.corrupt")
+        try:
+            if corrupt.is_dir():
+                shutil.rmtree(corrupt)
+            target.replace(corrupt)
+        except OSError as exc:
+            logger.warning("could not move %s aside: %s", target, exc)
+        logger.warning(
+            "quarantined plan snapshot %s: %s: %s",
+            target.name,
+            type(error).__name__,
+            error,
+        )
+        self.quarantined += 1
 
     def register_dataset(
         self,
@@ -543,6 +580,7 @@ class GraphStore:
                 "compiled_mapped_bytes": mapped_bytes,
                 "persisted_plans": self.persisted,
                 "restored_plans": self.restored,
+                "quarantined_plans": self.quarantined,
             }
 
     # ------------------------------------------------------------------

@@ -28,7 +28,7 @@ from repro.exceptions import (
     ParameterError,
 )
 from repro.graphs.cgraph import CGraph
-from repro.graphs.io import write_edge_list
+from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.largescale import (
     StreamedGraph,
     _csr_from_buffers_numpy,
@@ -268,6 +268,21 @@ def test_compile_edge_list_sources_override(tmp_path):
     assert streamed.sources == {"c"}
     with pytest.raises(MissingNodeError):
         compile_edge_list(path, sources=["nope"])
+
+
+def test_compile_edge_list_reads_trailing_directives(tmp_path):
+    # Directives after the edges are complete only once the stream is
+    # exhausted; the compiled tables must still match the reader's.
+    path = tmp_path / "trailing.txt"
+    body = "".join(f"{u} {v}\n" for u, v in EDGES)
+    path.write_text(
+        body + "# sources: a f\n# isolated: lone 7\n", encoding="utf-8"
+    )
+    reference = read_edge_list(path)
+    streamed = compile_edge_list(path)
+    assert tables_of(streamed) == tables_of(reference)
+    assert streamed.sources == reference.sources == {"a", "f"}
+    assert "lone" in streamed and 7 in streamed
 
 
 # ----------------------------------------------------------------------

@@ -115,6 +115,21 @@ def test_sessions_identical_across_backends():
         assert py.gains() == np_sess.gains()
 
 
+def test_numpy_sessions_are_the_python_sessions():
+    # One gain evaluator per backend: the numpy backend keeps no session
+    # of its own and hands out the python backend's for each tier.
+    if "numpy" not in BACKENDS:
+        pytest.skip("numpy not available")
+    from repro.backends import NumpyBackend, PythonBackend
+
+    graph = random_dag(4, n=22, p=0.3, sources=3)
+    for tier in ("bitpack", "lanes"):
+        numpy_session = NumpyBackend(tier=tier).gain_session(graph)
+        python_session = PythonBackend(tier=tier).gain_session(graph)
+        assert type(numpy_session) is type(python_session)
+        assert numpy_session.gains() == python_session.gains()
+
+
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_lazy_needs_5x_fewer_sweeps_at_k10(backend_name):
     # The acceptance bar: on a default-suite-shaped cell at k >= 10 the

@@ -703,6 +703,48 @@ def test_store_persist_dir_roundtrip(tmp_path):
     assert stats["restored_plans"] == 1
 
 
+def test_store_quarantines_torn_snapshots(tmp_path, caplog):
+    from repro.core.registry import get_algorithm
+
+    persist = tmp_path / "plans"
+    store = GraphStore(persist_dir=persist)
+    digests = {}
+    for dataset in ("fig1", "fig2", "fig3", "fig10"):
+        entry, _ = store.register_dataset(dataset)
+        digests[dataset] = entry.digest
+    assert store.persisted == 4
+    placed = get_algorithm("G_All").place(store.get(digests["fig3"]).graph, 3)
+
+    def snapshot(dataset):
+        return persist / f"{digests[dataset]}.fpc"
+
+    table = snapshot("fig3") / "out_targets.bin"
+    table.write_bytes(table.read_bytes()[: table.stat().st_size // 2])
+    marker = snapshot("fig2") / "store.json"
+    marker.write_text(marker.read_text()[:10])
+    (snapshot("fig10") / "store.json").unlink()
+    (persist / f"{digests['fig2']}.fpc.corrupt").mkdir()  # an older copy
+
+    with caplog.at_level("WARNING", logger="repro.service"):
+        booted = GraphStore(persist_dir=persist)
+    assert booted.digests() == (digests["fig1"],)
+    assert booted.stats()["quarantined_plans"] == 3
+    assert booted.stats()["restored_plans"] == 1
+    assert sum("quarantined" in r.getMessage() for r in caplog.records) == 3
+    for dataset in ("fig2", "fig3", "fig10"):
+        assert not snapshot(dataset).exists()
+        corrupt = persist / f"{digests[dataset]}.fpc.corrupt"
+        assert (corrupt / "meta.json").is_file()
+
+    entry, created = booted.register_dataset("fig3")
+    assert created and booted.persisted == 1
+    third = GraphStore(persist_dir=persist)
+    assert set(third.digests()) == {digests["fig1"], digests["fig3"]}
+    assert third.stats()["quarantined_plans"] == 0
+    restored = third.get(digests["fig3"]).graph
+    assert get_algorithm("G_All").place(restored, 3).filters == placed.filters
+
+
 def test_persist_dir_skips_probabilistic_and_cyclic(tmp_path):
     persist = tmp_path / "plans"
     store = GraphStore(persist_dir=persist, warm_backends=False)
