@@ -349,12 +349,9 @@ class CompiledGraph:
         self._reach_counts = None
         self.source_ids = tuple(int(s) for s in source_ids)
         if type(out_degree).__module__.startswith("numpy"):
-            self.sink_ids = tuple(
-                int(i) for i in (out_degree == 0).nonzero()[0]
-            )
+            self.sink_ids = tuple((out_degree == 0).nonzero()[0].tolist())
             self.merge_ids = tuple(
-                int(i)
-                for i in ((in_degree > 1) & (out_degree > 0)).nonzero()[0]
+                ((in_degree > 1) & (out_degree > 0)).nonzero()[0].tolist()
             )
         else:
             self.sink_ids = tuple(

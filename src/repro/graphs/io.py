@@ -17,29 +17,58 @@ Two formats are supported:
 
 Both edge-list entry points transparently read and write gzip when the
 path ends in ``.gz`` — the compression every SNAP-style dump actually
-ships with.  For graphs too large to hold as a python edge list, the
-streaming pair :class:`EdgeListStream` (chunked line-at-a-time reader
-that still honors every header directive) and
-:func:`write_edge_list_stream` (header + edge-iterator writer) move
-edges without materializing them; the scale tier's
-:func:`repro.graphs.largescale.compile_edge_stream` compiles straight
-off an :class:`EdgeListStream`.  A file written by
-:func:`write_edge_list` and one written by :func:`write_edge_list_stream`
-from the same graph are byte-identical, so digests computed over either
-agree.
+ships with.
+
+Every reader — :func:`read_edge_list`, :func:`read_edge_list_text` and
+:class:`EdgeListStream` (and through it the scale tier's
+:func:`repro.graphs.largescale.compile_edge_list`) — runs one block
+scanner.  It reads fixed-size binary blocks, each cut after its last
+newline, and marks every line that holds a byte other than an ASCII
+digit, space, tab, CR or LF.  Each run of unmarked ("plain") lines is
+parsed by one NumPy ``loadtxt`` call into a ``(k, 2)`` int64 array;
+every marked line — comments and directives, string ids, ``-5``,
+malformed lines — goes through the one per-line parser.  Both give the
+same nodes, edges, directives and errors, and without NumPy every line
+takes the per-line parser.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r``
+(universal newlines) for files and in-memory text alike.
+
+:class:`EdgeListStream` honors every header directive without
+materializing an edge list, and :func:`write_edge_list_stream`
+(header + edge-iterator writer) is its streaming back half.  A file
+written by :func:`write_edge_list` and one written by
+:func:`write_edge_list_stream` from the same graph are byte-identical,
+so digests computed over either agree.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
+from io import BytesIO
+from itertools import chain
 from pathlib import Path
-from typing import Any, Hashable, Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 from repro.exceptions import ParameterError
 from repro.graphs.cgraph import CGraph
 
 Node = Hashable
+
+#: Bytes per read of the block scanner; each block is then cut after
+#: its last newline, so a block always holds whole lines.
+_BLOCK_BYTES = 1 << 20
+
+#: The characters of a plain line: ASCII digits, space, tab, CR, LF.
+_PLAIN = "0123456789 \t\r\n"
+
+try:  # bulk parse of plain lines; every reader works without it.
+    import numpy as _np
+except Exception:  # pragma: no cover - exercised by the no-numpy CI job
+    _np = None
+else:
+    #: ``_MARKED[b]``: byte ``b`` sends its line to the per-line parser.
+    _MARKED = _np.ones(256, dtype=bool)
+    _MARKED[list(_PLAIN.encode())] = False
 
 #: Header directives understood by :func:`read_edge_list`.
 _SOURCES_DIRECTIVE = "sources:"
@@ -101,43 +130,289 @@ def _parse_token(token: str, int_ids: bool) -> Node:
     return token
 
 
-def _parse_edge_lines(
-    lines,
-    *,
-    origin: str,
-    comment: str,
-    int_ids: bool,
-    sources: list[Node] | None,
-) -> CGraph:
-    edges: list[tuple[Node, Node]] = []
-    directive_sources: list[Node] = []
-    isolated: list[Node] = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith(comment):
-            body = line[len(comment):].strip()
-            if body.startswith(_SOURCES_DIRECTIVE):
-                tokens = body[len(_SOURCES_DIRECTIVE):].split()
-                directive_sources.extend(
-                    _parse_token(t, int_ids) for t in tokens
+def _open_bytes(path: str | Path):
+    """Open ``path`` for binary reads, transparently gunzipped for ``.gz``."""
+    if str(path).endswith(".gz"):
+        return gzip.open(path, "rb")
+    return open(path, "rb")
+
+
+def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
+    """``read``'s bytes in blocks of whole lines.
+
+    Each fixed-size read is cut after its last newline and the rest
+    carried into the next block; the last block may lack a final
+    newline.  A CR never ends a block, so a CRLF pair is never split.
+    """
+    carry = b""
+    while True:
+        chunk = read(_BLOCK_BYTES)
+        if not chunk:
+            if carry:
+                yield carry
+            return
+        if carry:
+            chunk = carry + chunk
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield chunk[:cut]
+            carry = chunk[cut:]
+        else:
+            carry = chunk
+
+
+def _split_lines(text: str) -> list[str]:
+    """``text``'s lines under universal newlines, as a text file yields
+    them (unlike ``str.splitlines``, ``\\x0b``, ``\\x1c`` or ``\\u2028``
+    end no line)."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _every_line_marked(block: bytes) -> bool:
+    """Whether every line of ``block`` holds a marked byte.
+
+    One C-level ``translate`` instead of NumPy's classification, so a
+    file of string ids (every line marked) pays next to nothing for the
+    bulk path it cannot use.  Deleting the plain bytes but LF leaves an
+    empty line exactly where a line was plain.  A lone CR can hide a
+    plain line from the test; the block then goes to the per-line
+    parser, which is right for every line.
+    """
+    rest = block.translate(None, b"0123456789 \t\r")
+    return (
+        bool(rest)
+        and not rest.startswith(b"\n")
+        and b"\n\n" not in rest
+        and rest.endswith(b"\n") == block.endswith(b"\n")
+    )
+
+
+class _Scan:
+    """One pass of the block scanner over an edge-list byte stream.
+
+    :meth:`scan` yields the edges in file order, as a ``(k, 2)`` int64
+    array for each run of plain lines and a list of ``(u, v)`` tuples
+    for each run the per-line parser took.  Directives fill
+    :attr:`sources` and :attr:`isolated` — and :attr:`meta` when
+    ``read_meta`` — as they pass; ``bulk_lines``, ``fallback_lines``
+    and ``blocks`` count which parser ran.
+    """
+
+    def __init__(
+        self,
+        origin: str,
+        *,
+        comment: str,
+        int_ids: bool,
+        read_meta: bool,
+        errors: str = "strict",
+    ) -> None:
+        self.origin = origin
+        self.comment = comment
+        self.int_ids = int_ids
+        self.read_meta = read_meta
+        self.errors = errors
+        self.sources: list[Node] = []
+        self.isolated: list[Node] = []
+        self.meta: dict[str, Any] | None = None
+        self.bulk_lines = 0
+        self.fallback_lines = 0
+        self.blocks = 0
+
+    def scan(self, read: Callable[[int], bytes]) -> Iterator[Any]:
+        """Yield the edge segments of the bytes ``read(size)`` returns.
+
+        A block goes to the per-line parser whole when NumPy is absent,
+        when ids stay strings (``int_ids=False``), when the comment
+        prefix could begin a plain line, when every line in it is
+        marked, or when it holds a CR outside a CRLF pair (so a lone CR
+        never depends on how NumPy treats it).
+        """
+        from repro.obs.metrics import REGISTRY
+
+        counter = REGISTRY.counter(
+            "fp_ingest_lines_total",
+            "Edge-list lines read, by parser path.",
+            labels=("path",),
+        )
+        comment = self.comment
+        bulk = (
+            _np is not None
+            and self.int_ids
+            and comment
+            and comment[0] not in _PLAIN
+        )
+        lineno = 0
+        for block in _blocks(read):
+            self.blocks += 1
+            bulk_lines = self.bulk_lines
+            fallback_lines = self.fallback_lines
+            if (
+                bulk
+                and not _every_line_marked(block)
+                and block.count(b"\r") == block.count(b"\r\n")
+            ):
+                lineno = yield from self._classified(block, lineno)
+            else:
+                lineno = yield from self._per_line(block, lineno)
+            if self.bulk_lines > bulk_lines:
+                counter.inc(self.bulk_lines - bulk_lines, path="bulk")
+            if self.fallback_lines > fallback_lines:
+                counter.inc(
+                    self.fallback_lines - fallback_lines, path="per_line"
                 )
-            elif body.startswith(_ISOLATED_DIRECTIVE):
-                tokens = body[len(_ISOLATED_DIRECTIVE):].split()
-                isolated.extend(_parse_token(t, int_ids) for t in tokens)
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParameterError(
-                f"{origin}:{lineno}: expected 'u v', got {line!r}"
+
+    def report(self, record, edges: int) -> None:
+        """Set a ``graphs.ingest`` span's attributes from this pass."""
+        record.set("edges", edges)
+        record.set("bulk_lines", self.bulk_lines)
+        record.set("fallback_lines", self.fallback_lines)
+        record.set("blocks", self.blocks)
+
+    def _classified(self, block: bytes, lineno: int):
+        """Split ``block`` into runs of plain and marked lines."""
+        np = _np
+        data = np.frombuffer(block, dtype=np.uint8)
+        bounds = np.flatnonzero(data == 10) + 1
+        if not block.endswith(b"\n"):
+            bounds = np.append(bounds, len(block))
+        bounds = np.concatenate(([0], bounds))
+        marked = np.logical_or.reduceat(_MARKED[data], bounds[:-1])
+        cuts = [0, *(np.flatnonzero(marked[1:] != marked[:-1]) + 1).tolist()]
+        cuts.append(len(marked))
+        plain = not marked[0]
+        for first, stop in zip(cuts, cuts[1:]):
+            chunk = block[int(bounds[first]):int(bounds[stop])]
+            if plain:
+                yield from self._bulk(chunk, lineno + first, stop - first)
+            else:
+                yield from self._per_line(chunk, lineno + first)
+            plain = not plain
+        return lineno + len(marked)
+
+    def _bulk(self, chunk: bytes, lineno: int, count: int):
+        """Parse a run of ``count`` plain lines with one ``loadtxt``.
+
+        The run falls back to the per-line parser when ``loadtxt``
+        raises (a line of the wrong width, an id past int64) or reads
+        other than two columns.
+        """
+        if chunk.strip():  # a run of blank lines holds no edges
+            np = _np
+            try:
+                pairs = np.loadtxt(
+                    BytesIO(chunk), dtype=np.int64, ndmin=2, comments=None
+                )
+            except ValueError:
+                pairs = None
+            if pairs is None or pairs.shape[1] != 2:
+                yield from self._per_line(chunk, lineno)
+                return
+            yield pairs
+        self.bulk_lines += count
+
+    def _per_line(self, chunk: bytes, lineno: int):
+        """Run the per-line parser over ``chunk``'s lines.
+
+        The edges before a malformed line are yielded before its error
+        is raised, so a consumer that checks edges as they arrive (the
+        streamed compiler's self-loop check) still sees them first.
+        """
+        lines = _split_lines(chunk.decode("utf-8", self.errors))
+        self.fallback_lines += len(lines)
+        edges: list[tuple[Node, Node]] = []
+        try:
+            self._parse_lines(lines, lineno, edges)
+        except ParameterError:
+            if edges:
+                yield edges
+            raise
+        if edges:
+            yield edges
+        return lineno + len(lines)
+
+    def _parse_lines(
+        self, lines: list[str], lineno: int, edges: list
+    ) -> None:
+        """The per-line parser: append each ``u v`` line's edge to
+        ``edges`` and take in each directive; line numbers continue
+        from ``lineno``."""
+        comment = self.comment
+        int_ids = self.int_ids
+        append = edges.append
+        for lineno, line in enumerate(lines, start=lineno + 1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith(comment):
+                self._directive(line[len(comment):].strip(), lineno)
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParameterError(
+                    f"{self.origin}:{lineno}: expected 'u v', got {line!r}"
+                )
+            append((_parse_token(parts[0], int_ids),
+                    _parse_token(parts[1], int_ids)))
+
+    def _directive(self, body: str, lineno: int) -> None:
+        if body.startswith(_SOURCES_DIRECTIVE):
+            self.sources.extend(
+                self._tokens(body[len(_SOURCES_DIRECTIVE):])
             )
-        u, v = (_parse_token(parts[0], int_ids),
-                _parse_token(parts[1], int_ids))
-        edges.append((u, v))
-    if sources is None and directive_sources:
-        sources = directive_sources
-    return CGraph(edges, nodes=isolated, sources=sources)
+        elif body.startswith(_ISOLATED_DIRECTIVE):
+            self.isolated.extend(
+                self._tokens(body[len(_ISOLATED_DIRECTIVE):])
+            )
+        elif self.read_meta and body.startswith(_META_DIRECTIVE):
+            payload = body[len(_META_DIRECTIVE):].strip()
+            try:
+                loaded = json.loads(payload)
+            except json.JSONDecodeError as exc:
+                raise ParameterError(
+                    f"{self.origin}:{lineno}: malformed "
+                    f"'# meta:' header: {exc}"
+                ) from None
+            if isinstance(loaded, dict):
+                self.meta = loaded
+
+    def _tokens(self, text: str) -> list[Node]:
+        """A directive's node tokens; all-ASCII-digit lists (the
+        writers' case) convert in one ``map``."""
+        tokens = text.split()
+        joined = "".join(tokens)
+        if self.int_ids and joined.isascii() and joined.isdigit():
+            return list(map(int, tokens))
+        return [_parse_token(t, self.int_ids) for t in tokens]
+
+
+def _segment_edges(segments: Iterable[Any]) -> Iterator[tuple[Node, Node]]:
+    """The ``(u, v)`` tuples of scanned segments, in file order."""
+    # Row by row, as the per-line parser builds them: a column-wise zip
+    # gives equal tuples, but placements on the graph built from them
+    # measured slower (deep-exact).
+    return chain.from_iterable(
+        segment if type(segment) is list else map(tuple, segment.tolist())
+        for segment in segments
+    )
+
+
+def _read_graph(
+    scan: _Scan, read: Callable[[int], bytes], sources: list[Node] | None
+) -> CGraph:
+    """Scan to a :class:`CGraph` inside one ``graphs.ingest`` span."""
+    from repro.obs.trace import span
+
+    with span("graphs.ingest") as record:
+        edges = list(_segment_edges(scan.scan(read)))
+        if sources is None and scan.sources:
+            sources = scan.sources
+        graph = CGraph(edges, nodes=scan.isolated, sources=sources)
+        scan.report(record, len(edges))
+    return graph
 
 
 def read_edge_list(
@@ -166,16 +441,13 @@ def read_edge_list(
         a ``# sources:`` directive; when neither is present, sources
         default to in-degree-zero detection.
 
-    Paths ending in ``.gz`` are read through gzip transparently.
+    Paths ending in ``.gz`` are read through gzip transparently.  The
+    whole file is parsed before the graph is built, so a malformed line
+    raises before any self-loop or duplicate edge.
     """
-    with _open_text(path, "r") as handle:
-        return _parse_edge_lines(
-            handle,
-            origin=str(path),
-            comment=comment,
-            int_ids=int_ids,
-            sources=sources,
-        )
+    scan = _Scan(str(path), comment=comment, int_ids=int_ids, read_meta=False)
+    with _open_bytes(path) as handle:
+        return _read_graph(scan, handle.read, sources)
 
 
 def read_edge_list_text(
@@ -185,14 +457,23 @@ def read_edge_list_text(
     int_ids: bool = True,
     sources: list[Node] | None = None,
 ) -> CGraph:
-    """:func:`read_edge_list` on in-memory text (HTTP uploads, tests)."""
-    return _parse_edge_lines(
-        text.splitlines(),
-        origin="<text>",
+    """:func:`read_edge_list` on in-memory text (HTTP uploads, tests).
+
+    The text runs through the same scanner as a file of its UTF-8
+    bytes, so an upload and a file with the same bytes give the same
+    graph or the same error.
+    """
+    # "surrogatepass": a JSON body can carry lone surrogates, which
+    # parse into string ids as they always have.
+    scan = _Scan(
+        "<text>",
         comment=comment,
         int_ids=int_ids,
-        sources=sources,
+        read_meta=False,
+        errors="surrogatepass",
     )
+    data = BytesIO(text.encode("utf-8", "surrogatepass"))
+    return _read_graph(scan, data.read, sources)
 
 
 def _write_directive(handle, name: str, tokens: list[str]) -> None:
@@ -316,16 +597,20 @@ def write_edge_list_stream(
     return written
 
 
-class EdgeListStream:
-    """Chunked edge-list reader: one line at a time, directives intact.
+class EdgeListStream(_Scan):
+    """Streamed edge-list reader: the block scanner over one file.
 
     The streaming front half of the scale tier's ingestion.  Iterating
-    :meth:`edges` parses the file lazily (text or ``.gz``) and yields
-    ``(u, v)`` pairs without ever materializing an edge list; the
-    ``# sources:`` / ``# isolated:`` / ``# meta:`` header directives are
-    captured on the fly into :attr:`sources`, :attr:`isolated` and
-    :attr:`meta` (complete once iteration finishes — directives may
-    legally appear anywhere, though the writers put them up top).
+    :meth:`edges` scans the file (text or ``.gz``) one block at a time
+    and yields ``(u, v)`` pairs without ever materializing an edge
+    list; :meth:`segments` yields the scanner's segments instead (an
+    int64 ``(k, 2)`` array per run of plain lines, a tuple list per
+    per-line run), which :func:`repro.graphs.largescale.compile_edge_list`
+    interns in bulk.  The ``# sources:`` / ``# isolated:`` / ``# meta:``
+    header directives are captured on the fly into :attr:`sources`,
+    :attr:`isolated` and :attr:`meta` (complete once iteration finishes —
+    directives may legally appear anywhere, though the writers put them
+    up top); a malformed ``# meta:`` raises, naming its line.
     ``read_edge_list(path)`` and compiling this stream produce the same
     graph; the round-trip through :func:`write_edge_list_stream` is
     digest-stable.
@@ -339,55 +624,18 @@ class EdgeListStream:
         int_ids: bool = True,
     ) -> None:
         self.path = Path(path)
-        self.comment = comment
-        self.int_ids = int_ids
-        self.sources: list[Node] = []
-        self.isolated: list[Node] = []
-        self.meta: dict[str, Any] | None = None
+        super().__init__(
+            str(self.path), comment=comment, int_ids=int_ids, read_meta=True
+        )
+
+    def segments(self) -> Iterator[Any]:
+        """Yield the file's edge segments, capturing directives."""
+        with _open_bytes(self.path) as handle:
+            yield from self.scan(handle.read)
 
     def edges(self) -> Iterator[tuple[Node, Node]]:
         """Yield edges lazily, capturing directives as they pass."""
-        comment = self.comment
-        int_ids = self.int_ids
-        with _open_text(self.path, "r") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith(comment):
-                    body = line[len(comment):].strip()
-                    if body.startswith(_SOURCES_DIRECTIVE):
-                        tokens = body[len(_SOURCES_DIRECTIVE):].split()
-                        self.sources.extend(
-                            _parse_token(t, int_ids) for t in tokens
-                        )
-                    elif body.startswith(_ISOLATED_DIRECTIVE):
-                        tokens = body[len(_ISOLATED_DIRECTIVE):].split()
-                        self.isolated.extend(
-                            _parse_token(t, int_ids) for t in tokens
-                        )
-                    elif body.startswith(_META_DIRECTIVE):
-                        payload = body[len(_META_DIRECTIVE):].strip()
-                        try:
-                            loaded = json.loads(payload)
-                        except json.JSONDecodeError as exc:
-                            raise ParameterError(
-                                f"{self.path}:{lineno}: malformed "
-                                f"'# meta:' header: {exc}"
-                            ) from None
-                        if isinstance(loaded, dict):
-                            self.meta = loaded
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ParameterError(
-                        f"{self.path}:{lineno}: expected 'u v', "
-                        f"got {line!r}"
-                    )
-                yield (
-                    _parse_token(parts[0], int_ids),
-                    _parse_token(parts[1], int_ids),
-                )
+        return _segment_edges(self.segments())
 
 
 def read_edge_list_meta(path: str | Path) -> dict[str, Any] | None:

@@ -39,6 +39,7 @@ import json
 import sys
 from array import array
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from math import sqrt
 from pathlib import Path
 from typing import Hashable
@@ -345,7 +346,7 @@ def _graph_from_buffers(
     if sources is None:
         if _np is not None:
             indeg = in_offsets[1:] - in_offsets[:-1]
-            source_ids = tuple(int(i) for i in (indeg == 0).nonzero()[0])
+            source_ids = tuple((indeg == 0).nonzero()[0].tolist())
         else:
             source_ids = tuple(
                 i
@@ -464,21 +465,83 @@ def compile_edge_list(
 ) -> StreamedGraph:
     """Stream an edge-list file (text or ``.gz``) into compiled tables.
 
-    The chunked reader honors every header directive: ``# sources:``
-    pins the source set (unless ``sources`` overrides it) and
-    ``# isolated:`` restores edge-free nodes — the same round-trip
-    :func:`repro.graphs.io.read_edge_list` guarantees, without the
-    intermediate :class:`CGraph`.
+    The file runs through the io module's block scanner
+    (:class:`~repro.graphs.io.EdgeListStream`): runs of plain ``u v``
+    lines arrive as int64 arrays and intern in bulk (one ``np.unique``
+    for the whole file); a file with any per-line edge (string ids,
+    ``-5``, ...) interns edge by edge.  Both give the same first-seen
+    order, so the tables match ``read_edge_list(path).compiled()``.
+    The scanner honors every header directive: ``# sources:`` pins the
+    source set (unless ``sources`` overrides it) and ``# isolated:``
+    restores edge-free nodes — without the intermediate
+    :class:`CGraph`.  Errors come in file order: a self-loop raises
+    before a malformed line that follows it.
     """
+    from repro.obs.trace import span
+
     stream = EdgeListStream(path)
-    us, vs, index, node_list = _intern_edges(stream.edges())
-    # Directives may trail the edges: they are complete only once the
-    # stream is exhausted.
-    if sources is None and stream.sources:
-        sources = stream.sources
-    return _interned_graph(
-        us, vs, index, node_list, stream.isolated, sources
+    with span("graphs.ingest") as record:
+        us, vs, index, node_list = _intern_segments(stream.segments())
+        # Directives may trail the edges: they are complete only once
+        # the stream is exhausted.
+        if sources is None and stream.sources:
+            sources = stream.sources
+        graph = _interned_graph(
+            us, vs, index, node_list, stream.isolated, sources
+        )
+        stream.report(record, len(us))
+    return graph
+
+
+def _intern_segments(
+    segments: Iterator,
+) -> tuple[array, array, dict[Node, int], list[Node]]:
+    """Intern an edge list's scanned segments in first-seen order.
+
+    While every segment is an int64 array, self-loops are checked per
+    segment as it arrives and the whole list interns at the end by
+    :func:`_intern_arrays`.  The first per-line segment hands the
+    arrays so far, itself and the rest of the stream to
+    :func:`_intern_edges`, which checks each edge as it arrives.
+    """
+    arrays = []
+    for segment in segments:
+        if type(segment) is list:
+            rest = chain(arrays, [segment], segments)
+            return _intern_edges(chain.from_iterable(
+                s if type(s) is list else s.tolist() for s in rest
+            ))
+        loops = (segment[:, 0] == segment[:, 1]).nonzero()[0]
+        if len(loops):
+            u = int(segment[loops[0], 0])
+            raise GraphStructureError(
+                f"self-loop {u!r} -> {u!r} is not allowed in a c-graph"
+            )
+        arrays.append(segment)
+    return _intern_arrays(arrays)
+
+
+def _intern_arrays(arrays: list) -> tuple:
+    """:func:`_intern_edges` for int64 ``(k, 2)`` edge arrays.
+
+    One ``np.unique`` over the ``u0 v0 u1 v1 ...`` sequence gives each
+    id's first position; ranking the ids by it is the first-seen
+    order, and the rank remap gives the ``int32`` endpoint buffers.
+    """
+    if not arrays:
+        return array("i"), array("i"), {}, []
+    np = _np
+    flat = np.concatenate(arrays).ravel()
+    ids, first, inverse = np.unique(
+        flat, return_index=True, return_inverse=True
     )
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    interned = rank[inverse]
+    node_list = ids[order].tolist()
+    index = dict(zip(node_list, range(len(node_list))))
+    return interned[0::2].copy(), interned[1::2].copy(), index, node_list
 
 
 # ----------------------------------------------------------------------

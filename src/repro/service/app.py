@@ -802,6 +802,13 @@ class ServiceApp:
             "fp_store_compiled_mapped_bytes",
             "Bytes of compiled graph tables backed by memory-mapped files.",
         ).set(store["compiled_mapped_bytes"])
+        snapshots = REGISTRY.counter(
+            "fp_store_snapshots_total",
+            "Persisted-plan snapshots written, restored or quarantined.",
+            labels=("outcome",),
+        )
+        for outcome in ("persisted", "restored", "quarantined"):
+            snapshots.set_total(store[f"{outcome}_plans"], outcome=outcome)
 
         jobs = self.jobs.counts()
         job_gauge = REGISTRY.gauge(

@@ -290,3 +290,34 @@ def test_cache_hit_annotated_in_text_log(caplog):
         srv.server_close()
         app.close()
         thread.join(5)
+
+
+def test_metrics_mirror_store_snapshot_outcomes(tmp_path):
+    """``/metrics`` shows restored and quarantined snapshots, not only
+    ``/healthz``: boot on a persist dir holding one good snapshot and
+    one torn one."""
+    from repro.service.store import GraphStore
+
+    persist = tmp_path / "plans"
+    store = GraphStore(persist_dir=persist)
+    store.register_dataset("fig1")
+    torn, _ = store.register_dataset("fig2")
+    marker = persist / f"{torn.digest}.fpc" / "store.json"
+    marker.write_text(marker.read_text()[:10])
+
+    app = ServiceApp(workers=1, warm_backends=False, persist_dir=str(persist))
+    try:
+        status, text = app.handle_metrics()
+    finally:
+        app.close()
+    assert status == 200
+    samples = dict(
+        line.rsplit(" ", 1)
+        for line in text.splitlines()
+        if line.startswith("fp_store_snapshots_total{")
+    )
+    assert float(samples['fp_store_snapshots_total{outcome="restored"}']) == 1
+    assert float(
+        samples['fp_store_snapshots_total{outcome="quarantined"}']
+    ) == 1
+    assert float(samples['fp_store_snapshots_total{outcome="persisted"}']) == 0
