@@ -27,7 +27,8 @@ newline, and marks every line that holds a byte other than an ASCII
 digit, space, tab, CR or LF.  Each run of unmarked ("plain") lines is
 parsed by one NumPy ``loadtxt`` call into a ``(k, 2)`` int64 array;
 every marked line — comments and directives, string ids, ``-5``,
-malformed lines — goes through the one per-line parser.  Both give the
+malformed lines — and every plain run holding an id of 19 or more
+digits goes through the one per-line parser.  Both give the
 same nodes, edges, directives and errors, and without NumPy every line
 takes the per-line parser.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r``
 (universal newlines) for files and in-memory text alike.
@@ -60,6 +61,18 @@ _BLOCK_BYTES = 1 << 20
 
 #: The characters of a plain line: ASCII digits, space, tab, CR, LF.
 _PLAIN = "0123456789 \t\r\n"
+
+#: The plain bytes but LF, which :func:`_every_line_marked` deletes.
+_PLAIN_NO_LF = _PLAIN.replace("\n", "").encode()
+
+#: Every digit as ``0``: a run holding :data:`_LONG_ID` after this
+#: translation has an id of 19 or more digits.
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
+
+#: 19 digits, the fewest that can pass int64's maximum.  Some NumPy
+#: releases read such an id through a double (with only a warning)
+#: instead of raising, so a run holding one never reaches ``loadtxt``.
+_LONG_ID = b"0" * 19
 
 try:  # bulk parse of plain lines; every reader works without it.
     import numpy as _np
@@ -181,7 +194,7 @@ def _every_line_marked(block: bytes) -> bool:
     plain line from the test; the block then goes to the per-line
     parser, which is right for every line.
     """
-    rest = block.translate(None, b"0123456789 \t\r")
+    rest = block.translate(None, _PLAIN_NO_LF)
     return (
         bool(rest)
         and not rest.startswith(b"\n")
@@ -287,32 +300,37 @@ class _Scan:
         for first, stop in zip(cuts, cuts[1:]):
             chunk = block[int(bounds[first]):int(bounds[stop])]
             if plain:
-                yield from self._bulk(chunk, lineno + first, stop - first)
+                yield from self._bulk(chunk, lineno + first)
             else:
                 yield from self._per_line(chunk, lineno + first)
             plain = not plain
         return lineno + len(marked)
 
-    def _bulk(self, chunk: bytes, lineno: int, count: int):
-        """Parse a run of ``count`` plain lines with one ``loadtxt``.
+    def _bulk(self, chunk: bytes, lineno: int):
+        """Parse a run of plain lines with one ``loadtxt``.
 
-        The run falls back to the per-line parser when ``loadtxt``
-        raises (a line of the wrong width, an id past int64) or reads
-        other than two columns.
+        The run goes to the per-line parser instead when it holds an id
+        of 19 or more digits (which may pass int64), when ``loadtxt``
+        raises (a line of the wrong width) or when it reads other than
+        two columns.  ``bulk_lines`` counts the edges ``loadtxt`` read;
+        blank lines among them count in neither path.
         """
-        if chunk.strip():  # a run of blank lines holds no edges
-            np = _np
+        if not chunk.strip():  # a run of blank lines holds no edges
+            return
+        np = _np
+        pairs = None
+        if _LONG_ID not in chunk.translate(_DIGITS_TO_ZERO):
             try:
                 pairs = np.loadtxt(
                     BytesIO(chunk), dtype=np.int64, ndmin=2, comments=None
                 )
             except ValueError:
-                pairs = None
-            if pairs is None or pairs.shape[1] != 2:
-                yield from self._per_line(chunk, lineno)
-                return
-            yield pairs
-        self.bulk_lines += count
+                pass
+        if pairs is None or pairs.shape[1] != 2:
+            yield from self._per_line(chunk, lineno)
+            return
+        self.bulk_lines += len(pairs)
+        yield pairs
 
     def _per_line(self, chunk: bytes, lineno: int):
         """Run the per-line parser over ``chunk``'s lines.

@@ -14,6 +14,8 @@ set to None.
 from __future__ import annotations
 
 import gzip
+import re
+from io import BytesIO
 
 import pytest
 
@@ -217,6 +219,31 @@ def test_meta_directive_per_reader(numpy_handle, tmp_path, monkeypatch):
     assert list(read_edge_list(bad).edges()) == [(1, 2), (2, 3)]
 
 
+def test_long_ids_never_reach_loadtxt(tmp_path, monkeypatch):
+    """An id of 19 or more digits takes the per-line parser and stays
+    exact even on a NumPy release that reads an id past int64 through a
+    double: the ``loadtxt`` here stands in for one, turning each such id
+    into int64's minimum as the C cast does on x86."""
+    np = pytest.importorskip("numpy")
+    loadtxt = np.loadtxt
+
+    def lossy_loadtxt(fname, **kwargs):
+        data = re.sub(rb"[0-9]{20,}", b"-9223372036854775808", fname.read())
+        return loadtxt(BytesIO(data), **kwargs)
+
+    monkeypatch.setattr(graph_io._np, "loadtxt", lossy_loadtxt)
+    text = "12345678901234567890 1\n1 2\n22345678901234567890 2\n"
+    path = tmp_path / "long.txt"
+    path.write_text(text, encoding="utf-8")
+    nodes = [12345678901234567890, 1, 2, 22345678901234567890]
+    assert list(read_edge_list_text(text).nodes()) == nodes
+    assert list(read_edge_list(path).nodes()) == nodes
+    assert list(compile_edge_list(path).nodes()) == nodes
+    assert [typed(e) for e in EdgeListStream(path).edges()] == [
+        typed(e) for e in ((nodes[0], 1), (1, 2), (nodes[3], 2))
+    ]
+
+
 def test_text_and_file_readers_end_lines_alike(tmp_path):
     """An upload and a file with the same bytes parse the same: only
     ``\\n``, ``\\r\\n`` and ``\\r`` end a line, never the other
@@ -287,3 +314,17 @@ def test_ingest_without_numpy_counts_every_line_per_line(
         "edges": m, "bulk_lines": 0, "fallback_lines": m + 2, "blocks": 1,
     }
     assert counted == (0, m + 2)
+
+
+def test_bulk_lines_count_edges_not_blank_lines(tmp_path):
+    """``bulk_lines`` counts the edges NumPy read, so it equals ``m`` for
+    a file whose edges all came in bulk, blank lines or not."""
+    pytest.importorskip("numpy")
+    path = tmp_path / "blanks.txt"
+    path.write_text("\n1 2\n\n2 3\n   \n3 4\n\n\t\n", encoding="utf-8")
+    graph, attrs, counted = traced_compile(path)
+    assert graph.number_of_edges() == 3
+    assert attrs == {
+        "edges": 3, "bulk_lines": 3, "fallback_lines": 0, "blocks": 1,
+    }
+    assert counted == (3, 0)
