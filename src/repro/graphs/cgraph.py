@@ -144,6 +144,77 @@ class CGraph:
         self._is_dag_cache: bool | None = None
         self._compiled_cache: "Any | None" = None
 
+    @classmethod
+    def _from_interned(
+        cls,
+        us: Sequence[int],
+        vs: Sequence[int],
+        nodes: list[Node],
+        index: dict[Node, int],
+        *,
+        isolated: Iterable[Node] = (),
+        sources: Iterable[Node] | None = None,
+    ) -> "CGraph":
+        """``CGraph(edges, nodes=isolated, sources=sources)``, built from
+        the edges' interned ids instead of the edges.
+
+        Edge ``e`` runs from ``nodes[us[e]]`` to ``nodes[vs[e]]``;
+        ``nodes`` lists the endpoints in first-seen ``(u, v)`` order and
+        ``index`` maps each to its id (both grow by the ``isolated``
+        nodes).  The result equals the per-edge build — nodes, successor
+        and predecessor order, sources, and the first fault in edge
+        order with the same message — but both adjacencies come from one
+        CSR build, with no Python loop per edge when NumPy is present,
+        and the compiled tables come with it, so :meth:`compiled` costs
+        nothing.
+        """
+        from repro.graphs.compiled import (
+            CompiledGraph,
+            _add_nodes,
+            _interned_adjacency,
+        )
+
+        _add_nodes(index, nodes, isolated)
+        tables, levels, children, parents = _interned_adjacency(us, vs, nodes)
+        out_offsets, out_targets, in_offsets, in_sources = tables
+        self = object.__new__(cls)
+        self._succ = {
+            node: tuple(children[out_offsets[i]:out_offsets[i + 1]])
+            for i, node in enumerate(nodes)
+        }
+        self._pred = {
+            node: tuple(parents[in_offsets[i]:in_offsets[i + 1]])
+            for i, node in enumerate(nodes)
+        }
+        self._nodes = tuple(nodes)
+        self._num_edges = len(us)
+        source_ids = None
+        if sources is not None:
+            source_set = frozenset(sources)
+            for s in source_set:
+                if s not in self._succ:
+                    raise MissingNodeError(s)
+            source_ids = sorted(index[s] for s in source_set)
+        compiled = CompiledGraph.from_tables(
+            n=len(nodes),
+            out_offsets=out_offsets,
+            out_targets=out_targets,
+            in_offsets=in_offsets,
+            in_sources=in_sources,
+            source_ids=source_ids,
+            nodes=self._nodes,
+            graph=self,
+            levels=levels,
+        )
+        if sources is None:
+            source_set = frozenset(self._nodes[i] for i in compiled.source_ids)
+        self._sources = source_set
+        self._sources_explicit = sources is not None
+        self._topo_cache = None
+        self._is_dag_cache = compiled.is_dag
+        self._compiled_cache = compiled
+        return self
+
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
@@ -304,7 +375,9 @@ class CGraph:
 
         Built on first access and cached for the life of the graph (safe
         because the graph is immutable) — every layer that sweeps this
-        graph shares the one compiled plan.  Derived graphs
+        graph shares the one compiled plan.  A graph read from an edge
+        list (:func:`repro.graphs.io.read_edge_list`) comes with its plan
+        already built from the reader's CSR tables.  Derived graphs
         (:meth:`subgraph`, :meth:`reversed`, :meth:`without_edges`, ...)
         are new objects and therefore compile fresh; a stale plan can
         never leak across a structural change.

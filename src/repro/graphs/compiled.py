@@ -39,23 +39,36 @@ sources) are well-defined and cheap — but ``is_dag`` is False and the
 topological accessors raise :class:`~repro.exceptions.CyclicGraphError`,
 mirroring :meth:`CGraph.topological_order`.
 
-The module is dependency-free (plain lists, tuples and dicts) so the
-exact python path works — and is tested — in environments without NumPy.
+The tables are plain lists, tuples and dicts, so the exact python path
+works — and is tested — in environments without NumPy.  The end of the
+module holds the interning and CSR builds that both edge-list readers
+(:func:`repro.graphs.io.read_edge_list` and the scale tier's
+:func:`repro.graphs.largescale.compile_edge_list`) share: NumPy sorts
+when it is importable, a pure-python build with the same results
+otherwise.
 """
 
 from __future__ import annotations
 
 import sys
 import weakref
+from array import array
 from collections.abc import Iterable, Sequence
+from itertools import chain
 from typing import TYPE_CHECKING, Hashable
 
 from repro.exceptions import (
     CyclicGraphError,
+    GraphStructureError,
     MissingEdgeError,
     MissingNodeError,
     ParameterError,
 )
+
+try:  # interning and CSR sorts; every build works without it.
+    import numpy as _np
+except Exception:  # pragma: no cover - exercised by the no-numpy CI job
+    _np = None
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Mapping
@@ -255,8 +268,9 @@ class CompiledGraph:
     # python sweeps' hot representations, but at the scale tier's node
     # counts they cost hundreds of MB of boxed objects — so table-built
     # graphs (:meth:`from_tables`) defer them until something actually
-    # walks the python path.  Graphs compiled from a :class:`CGraph`
-    # still build them eagerly in ``__init__`` (unchanged behavior).
+    # walks the python path.  A :class:`CGraph` read from an edge list
+    # is table-built too; one built in code compiles through
+    # ``__init__``, which builds them eagerly.
     # ------------------------------------------------------------------
 
     @property
@@ -301,7 +315,7 @@ class CompiledGraph:
         out_targets,
         in_offsets,
         in_sources,
-        source_ids,
+        source_ids=None,
         nodes=None,
         graph=None,
         levels=None,
@@ -309,19 +323,22 @@ class CompiledGraph:
     ) -> "CompiledGraph":
         """Build a compiled graph directly from CSR tables.
 
-        The streamed loaders and the ``.fpc`` on-disk format construct
-        graphs here without ever materializing a :class:`CGraph` (or any
-        python edge list).  The tables may be any integer sequences —
-        plain lists, ``array`` arrays, NumPy arrays, or ``np.memmap``
-        views; the python-object views (:attr:`index`,
+        The streamed loaders, the ``.fpc`` on-disk format and the
+        edge-list reader's :class:`CGraph` construct graphs here without
+        ever materializing a python edge list.  The tables may be any
+        integer sequences — plain lists, ``array`` arrays, NumPy arrays,
+        or ``np.memmap`` views; the python-object views (:attr:`index`,
         :attr:`succ_ids`, :attr:`pred_ids`) materialize lazily.
 
-        ``nodes`` defaults to ``range(n)`` (interned ids are their own
-        user nodes).  ``levels`` optionally supplies a precomputed
-        ``(topo_order, topo_index, depth, level_offsets)`` tuple;
-        otherwise :func:`levelize_csr` runs here.  ``mapped`` names
-        memory-mapped tables (``{attr: nbytes}``) so :meth:`nbytes`
-        charges them to the mapped pool, not the resident one.
+        ``source_ids`` are ascending Python ints, or None for the
+        in-degree-zero nodes.  ``nodes`` defaults to ``range(n)``
+        (interned ids are their own user nodes).  ``levels`` optionally
+        supplies :func:`levelize_csr`'s result computed elsewhere — its
+        ``(topo_order, topo_index, depth, level_offsets)`` tuple, or
+        False for a cyclic graph; otherwise :func:`levelize_csr` runs
+        here.  ``mapped`` names memory-mapped tables (``{attr: nbytes}``)
+        so :meth:`nbytes` charges them to the mapped pool, not the
+        resident one.
         """
         self = object.__new__(cls)
         self._graph_ref = (
@@ -347,13 +364,16 @@ class CompiledGraph:
         self._edge_prob_cache = None
         self._source_mark = None
         self._reach_counts = None
-        self.source_ids = tuple(int(s) for s in source_ids)
         if type(out_degree).__module__.startswith("numpy"):
+            if source_ids is None:
+                source_ids = (in_degree == 0).nonzero()[0].tolist()
             self.sink_ids = tuple((out_degree == 0).nonzero()[0].tolist())
             self.merge_ids = tuple(
                 ((in_degree > 1) & (out_degree > 0)).nonzero()[0].tolist()
             )
         else:
+            if source_ids is None:
+                source_ids = [i for i in range(n) if not in_degree[i]]
             self.sink_ids = tuple(
                 i for i in range(n) if not out_degree[i]
             )
@@ -362,9 +382,10 @@ class CompiledGraph:
                 for i in range(n)
                 if in_degree[i] > 1 and out_degree[i]
             )
+        self.source_ids = tuple(source_ids)
         if levels is None:
             levels = levelize_csr(n, out_offsets, out_targets, in_degree)
-        if levels is None:
+        if not levels:
             self.is_dag = False
             self.num_levels = 0
             self._topo_order = None
@@ -716,13 +737,8 @@ def levelize_csr(n: int, out_offsets, out_targets, in_degree):
     per-level vectorized pass when the tables are NumPy arrays (the
     streamed loaders' case) and a plain python sweep otherwise.
     """
-    numpy_tables = type(out_targets).__module__.startswith("numpy")
-    if numpy_tables:
-        try:
-            import numpy as np
-        except Exception:  # pragma: no cover - numpy arrays imply numpy
-            numpy_tables = False
-    if numpy_tables:
+    if _np is not None and type(out_targets).__module__.startswith("numpy"):
+        np = _np
         indeg = np.asarray(in_degree, dtype=np.int64).copy()
         off = np.asarray(out_offsets, dtype=np.int64)
         tgt = np.asarray(out_targets, dtype=np.int64)
@@ -905,3 +921,383 @@ def blocked_reach_counts(
             if m:
                 counts[v] += m.bit_count()
     return counts
+
+
+# ----------------------------------------------------------------------
+# Interning and CSR builds (shared by the edge-list readers)
+# ----------------------------------------------------------------------
+
+#: int64's range: a per-line int id outside it cannot be a bulk id.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _intern_edges(
+    edges: Iterable[tuple[Node, Node]],
+) -> tuple:
+    """Intern an edge stream in first-seen ``(u, v)`` order.
+
+    Returns the two ``int32`` endpoint buffers, the node → id index, the
+    node list and no bulk keys (see :func:`_intern_arrays`).  Nothing is
+    checked here: the CSR build raises the first self-loop or duplicate
+    edge in edge order.
+    """
+    us = array("i")
+    vs = array("i")
+    index: dict[Node, int] = {}
+    node_list: list[Node] = []
+    append_node = node_list.append
+    get_id = index.get
+    for u, v in edges:
+        iu = get_id(u)
+        if iu is None:
+            iu = index[u] = len(node_list)
+            append_node(u)
+        iv = get_id(v)
+        if iv is None:
+            iv = index[v] = len(node_list)
+            append_node(v)
+        us.append(iu)
+        vs.append(iv)
+    return us, vs, index, node_list, None
+
+
+def _intern_arrays(arrays: list) -> tuple:
+    """:func:`_intern_edges` for int64 ``(k, 2)`` edge arrays.
+
+    One ``np.unique`` over the ``u0 v0 u1 v1 ...`` sequence gives each
+    id's first position; ranking the ids by it is the first-seen
+    order, and the rank remap gives the ``int32`` endpoint buffers.
+    The bulk keys returned last are the sorted ids and their interned
+    ids, against which a list of int nodes resolves in one search.
+    """
+    if not arrays:
+        return array("i"), array("i"), {}, [], None
+    np = _np
+    flat = np.concatenate(arrays).ravel()
+    ids, first, inverse = np.unique(
+        flat, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    interned = rank[inverse]
+    node_list = ids[order].tolist()
+    index = dict(zip(node_list, range(len(node_list))))
+    return (
+        interned[0::2].copy(),
+        interned[1::2].copy(),
+        index,
+        node_list,
+        (ids, rank),
+    )
+
+
+def _intern_segments(segments: Iterable) -> tuple:
+    """Intern the block scanner's edge segments in first-seen order.
+
+    ``segments`` come in file order: an int64 ``(k, 2)`` array per run
+    of plain lines and a ``(u, v)`` tuple list per per-line run.  A file
+    of arrays only interns with :func:`_intern_arrays`' one
+    ``np.unique``, a file of lists only with :func:`_intern_edges`;
+    :func:`_intern_mixed` merges the two.  Nothing is checked here.
+    """
+    arrays, array_at, lines, lines_at = [], [], [], []
+    m = 0
+    for segment in segments:
+        if type(segment) is list:
+            lines.append(segment)
+            lines_at.append(m)
+        else:
+            arrays.append(segment)
+            array_at.append(m)
+        m += len(segment)
+    if not lines:
+        return _intern_arrays(arrays)
+    if not arrays:
+        return _intern_edges(chain.from_iterable(lines))
+    return _intern_mixed(m, arrays, array_at, lines, lines_at)
+
+
+def _flat_positions(starts: list[int], sizes: list[int]):
+    """Positions in the file's ``u0 v0 u1 v1 ...`` sequence of the
+    endpoints of the segments of ``sizes`` edges starting at edges
+    ``starts``, concatenated."""
+    np = _np
+    starts = np.asarray(starts, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    before = np.cumsum(sizes) - sizes
+    return np.arange(2 * int(sizes.sum()), dtype=np.int64) + np.repeat(
+        2 * (starts - before), 2 * sizes
+    )
+
+
+def _intern_mixed(
+    m: int, arrays: list, array_at: list, lines: list, lines_at: list
+) -> tuple:
+    """Intern a file that mixes int64 arrays with per-line edges.
+
+    The arrays intern with one ``np.unique`` and only the per-line edges
+    walk through :func:`_intern_edges`.  Each node's first position in
+    the file then orders the two node sets into one; a per-line int
+    that is also a bulk id (``source 12`` after ``12 10``) keeps the
+    earlier of its two positions.
+    """
+    np = _np
+    line_us, line_vs, _, line_nodes, _ = _intern_edges(
+        chain.from_iterable(lines)
+    )
+    ids, first, inverse = np.unique(
+        np.concatenate(arrays).ravel(), return_index=True, return_inverse=True
+    )
+    bulk_pos = _flat_positions(array_at, [len(a) for a in arrays])
+    line_pos = _flat_positions(lines_at, [len(s) for s in lines])
+    line_flat = np.empty(len(line_pos), dtype=np.int32)
+    line_flat[0::2] = np.frombuffer(line_us, dtype=np.int32)
+    line_flat[1::2] = np.frombuffer(line_vs, dtype=np.int32)
+    line_first = np.unique(line_flat, return_index=True)[1]
+    position = bulk_pos[first]
+    line_position = line_pos[line_first]
+
+    # slot[j]: where per-line node j lands among the bulk ids and the
+    # per-line nodes that are not bulk ids.
+    bulk = len(ids)
+    slot = np.full(len(line_nodes), -1, dtype=np.int64)
+    ints = [
+        j for j, node in enumerate(line_nodes)
+        if type(node) is int and _INT64_MIN <= node <= _INT64_MAX
+    ]
+    if ints:
+        values = np.array([line_nodes[j] for j in ints], dtype=np.int64)
+        at = np.minimum(np.searchsorted(ids, values), bulk - 1)
+        hit = ids[at] == values
+        shared = np.asarray(ints, dtype=np.int64)[hit]
+        at = at[hit]
+        slot[shared] = at
+        position[at] = np.minimum(position[at], line_position[shared])
+    new = np.flatnonzero(slot < 0)
+    slot[new] = bulk + np.arange(len(new))
+    order = np.argsort(np.concatenate((position, line_position[new])))
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    candidates = ids.tolist() + [line_nodes[j] for j in new.tolist()]
+    node_list = [candidates[i] for i in order.tolist()]
+
+    interned = np.empty(2 * m, dtype=np.int32)
+    interned[bulk_pos] = rank[inverse]
+    interned[line_pos] = rank[slot][line_flat]
+    index = dict(zip(node_list, range(len(node_list))))
+    return (
+        interned[0::2].copy(),
+        interned[1::2].copy(),
+        index,
+        node_list,
+        (ids, rank[:bulk]),
+    )
+
+
+def _add_nodes(index: dict, nodes: list, extra: Iterable[Node]) -> None:
+    """Append the ``extra`` nodes not yet interned (isolated nodes)."""
+    for node in extra:
+        if node not in index:
+            index[node] = len(nodes)
+            nodes.append(node)
+
+
+def _source_ids(sources: Iterable[Node], to_id, keys) -> tuple[int, ...]:
+    """The ascending ids of ``sources``; :class:`MissingNodeError` for
+    the first one in the given order that the graph lacks.
+
+    ``keys`` are an interner's bulk keys (see :func:`_intern_arrays`),
+    or None.  A list of int sources is looked up against them in one
+    search, and only the sources it misses (isolated nodes, per-line
+    ids) go through ``to_id``, which maps a node to its id or None.
+    """
+    sources = list(sources)
+    found = None
+    misses = range(len(sources))
+    if keys is not None and sources and set(map(type, sources)) == {int}:
+        np = _np
+        values, interned = keys
+        try:
+            wanted = np.array(sources, dtype=np.int64)
+        except OverflowError:  # an id past int64 is no bulk id
+            wanted = None
+        if wanted is not None:
+            at = np.minimum(np.searchsorted(values, wanted), len(values) - 1)
+            hit = values[at] == wanted
+            found = interned[at[hit]]
+            misses = (~hit).nonzero()[0].tolist()
+    ids = []
+    for k in misses:
+        i = to_id(sources[k])
+        if i is None:
+            raise MissingNodeError(sources[k])
+        ids.append(i)
+    if found is not None:
+        ids = _np.array(ids, dtype=_np.int64)
+        return tuple(_np.union1d(found, ids).tolist())
+    return tuple(sorted(set(ids)))
+
+
+def _edge_fault(u: Node, v: Node) -> GraphStructureError:
+    """The error :class:`CGraph` raises for edge ``u -> v``: a
+    self-loop, or a repeat of an earlier edge."""
+    if u == v:
+        return GraphStructureError(
+            f"self-loop {u!r} -> {v!r} is not allowed in a c-graph"
+        )
+    return GraphStructureError(f"duplicate edge {u!r} -> {v!r}")
+
+
+def _csr_from_buffers(n: int, us, vs, nodes):
+    """Forward + reverse CSR of interned edge buffers: NumPy's stable
+    sorts when it is importable, the counting build otherwise."""
+    if _np is not None:
+        return _csr_from_buffers_numpy(n, len(us), us, vs, nodes)
+    return _csr_from_buffers_python(n, len(us), us, vs, nodes)
+
+
+def _csr_from_buffers_numpy(n: int, m: int, us, vs, nodes):
+    """Forward + reverse CSR by stable sorts.
+
+    Ordering contract (must match ``CompiledGraph.__init__``): forward
+    adjacency groups by ``u`` ascending, keeping input edge order
+    within a ``u``; reverse adjacency lists each node's parents by
+    ascending interned id.  A stable sort on ``u`` gives the first; a
+    stable re-sort of that array on ``v`` gives the second, because
+    within one ``v`` the u-sorted order *is* ascending-``u`` order.
+
+    Together the two sorts order the edges by ``(v, u)`` and keep equal
+    edges in input order, side by side: every edge equal to its
+    neighbour before it repeats an earlier one.  The first fault in
+    input order — a self-loop or a repeated edge — raises, as it does
+    in ``CGraph``.
+    """
+    np = _np
+    if m == 0:
+        empty_off = np.zeros(n + 1, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int32)
+        return empty_off, empty, empty_off.copy(), empty
+    us_a = np.frombuffer(us, dtype=np.int32)
+    vs_a = np.frombuffer(vs, dtype=np.int32)
+    order_u = np.argsort(us_a, kind="stable")
+    out_targets = np.ascontiguousarray(vs_a[order_u])
+    sorted_us = us_a[order_u]
+    order_v = np.argsort(out_targets, kind="stable")
+    in_sources = np.ascontiguousarray(sorted_us[order_v])
+    in_targets = out_targets[order_v]
+    repeats = (in_sources[1:] == in_sources[:-1]) & (
+        in_targets[1:] == in_targets[:-1]
+    )
+    faults = np.concatenate(
+        ((us_a == vs_a).nonzero()[0], order_u[order_v[1:][repeats]])
+    )
+    if len(faults):
+        e = int(faults.min())
+        raise _edge_fault(nodes[int(us_a[e])], nodes[int(vs_a[e])])
+    out_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(us_a, minlength=n), out=out_offsets[1:])
+    in_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(vs_a, minlength=n), out=in_offsets[1:])
+    return out_offsets, out_targets, in_offsets, in_sources
+
+
+def _csr_from_buffers_python(n: int, m: int, us, vs, nodes):
+    """The NumPy-free CSR build: counting sort, same ordering contract,
+    same first fault in input order."""
+    out_counts = [0] * n
+    in_counts = [0] * n
+    seen: set[int] = set()
+    for e in range(m):
+        u = us[e]
+        v = vs[e]
+        k = u * n + v
+        if u == v or k in seen:
+            raise _edge_fault(nodes[u], nodes[v])
+        seen.add(k)
+        out_counts[u] += 1
+        in_counts[v] += 1
+    del seen
+    out_offsets = [0] * (n + 1)
+    in_offsets = [0] * (n + 1)
+    for i in range(n):
+        out_offsets[i + 1] = out_offsets[i] + out_counts[i]
+        in_offsets[i + 1] = in_offsets[i] + in_counts[i]
+    # Forward CSR: group by u (stable, so input order survives within u).
+    fill = list(out_offsets[:-1])
+    out_targets = array("i", bytes(4 * m))
+    for e in range(m):
+        u = us[e]
+        out_targets[fill[u]] = vs[e]
+        fill[u] += 1
+    # Reverse CSR: walk the forward CSR in ascending u, appending to each
+    # target's slot — parents come out ascending by id, exactly like
+    # ``CompiledGraph.__init__``'s pred pass.
+    fill = list(in_offsets[:-1])
+    in_sources = array("i", bytes(4 * m))
+    for u in range(n):
+        for e in range(out_offsets[u], out_offsets[u + 1]):
+            v = out_targets[e]
+            in_sources[fill[v]] = u
+            fill[v] += 1
+    return out_offsets, out_targets, in_offsets, in_sources
+
+
+def _interned_adjacency(us, vs, nodes: list) -> tuple:
+    """Everything a :class:`CGraph` of interned edges needs, as plain
+    lists: one CSR build, one more stable sort and one levelization.
+
+    Returns ``(tables, levels, children, parents)``: the forward and
+    reverse CSR ``(out_offsets, out_targets, in_offsets, in_sources)``
+    in :class:`CompiledGraph`'s layout; :func:`levelize_csr`'s result
+    (False when the graph is cyclic); the successor nodes grouped by
+    ``out_offsets``; and the predecessor nodes in edge order grouped by
+    ``in_offsets`` — the order ``CGraph.predecessors`` returns.  Raises
+    the first self-loop or repeated edge in edge order.  With NumPy no
+    Python loop runs per edge: the levels come from the NumPy tables
+    and the nodes are gathered through an object array.
+    """
+    n = len(nodes)
+    tables = _csr_from_buffers(n, us, vs, nodes)
+    out_offsets, out_targets, in_offsets, in_sources = tables
+    np = _np
+    if np is None:
+        fill = list(in_offsets[:-1])
+        parents = [0] * len(us)
+        for u, v in zip(us, vs):
+            parents[fill[v]] = u
+            fill[v] += 1
+        in_degree = [in_offsets[i + 1] - in_offsets[i] for i in range(n)]
+        levels = levelize_csr(n, out_offsets, out_targets, in_degree)
+        return (
+            [list(table) for table in tables],
+            levels or False,
+            [nodes[i] for i in out_targets],
+            [nodes[i] for i in parents],
+        )
+    order = np.argsort(np.frombuffer(vs, dtype=np.int32), kind="stable")
+    parents = np.frombuffer(us, dtype=np.int32)[order]
+    levels = levelize_csr(n, out_offsets, out_targets, np.diff(in_offsets))
+    if levels is not None:
+        topo_order, topo_index, depth, level_offsets = levels
+        levels = (
+            tuple(topo_order.tolist()),
+            topo_index.tolist(),
+            depth.tolist(),
+            level_offsets,
+        )
+    # The id tables are gathered through the n ids as Python ints, so
+    # they share n int objects, as ``CompiledGraph.__init__``'s do.
+    ids = np.arange(n, dtype=object)
+    objects = np.fromiter(nodes, dtype=object, count=n)
+    return (
+        [
+            out_offsets.tolist(),
+            ids[out_targets].tolist(),
+            in_offsets.tolist(),
+            ids[in_sources].tolist(),
+        ],
+        levels or False,
+        objects[out_targets].tolist(),
+        objects[parents].tolist(),
+    )

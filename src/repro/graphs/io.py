@@ -33,6 +33,15 @@ same nodes, edges, directives and errors, and without NumPy every line
 takes the per-line parser.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r``
 (universal newlines) for files and in-memory text alike.
 
+Both materializing readers and ``compile_edge_list`` then share one
+table build (:mod:`repro.graphs.compiled`): the int64 arrays intern in
+NumPy, only per-line edges are interned one by one, and one CSR build
+gives the tables.  :func:`read_edge_list` and :func:`read_edge_list_text`
+build their :class:`CGraph` from those tables with its compiled view
+attached, and give the nodes, adjacency order, sources and errors of
+``CGraph(edges, ...)`` on the file's edges, without a ``(u, v)`` tuple
+per plain line.
+
 :class:`EdgeListStream` honors every header directive without
 materializing an edge list, and :func:`write_edge_list_stream`
 (header + edge-iterator writer) is its streaming back half.  A file
@@ -52,6 +61,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator
 
 from repro.exceptions import ParameterError
 from repro.graphs.cgraph import CGraph
+from repro.graphs.compiled import _intern_segments
 
 Node = Hashable
 
@@ -408,10 +418,11 @@ class _Scan:
 
 
 def _segment_edges(segments: Iterable[Any]) -> Iterator[tuple[Node, Node]]:
-    """The ``(u, v)`` tuples of scanned segments, in file order."""
-    # Row by row, as the per-line parser builds them: a column-wise zip
-    # gives equal tuples, but placements on the graph built from them
-    # measured slower (deep-exact).
+    """The ``(u, v)`` tuples of scanned segments, in file order.
+
+    Only :meth:`EdgeListStream.edges` turns segments into tuples; the
+    readers intern the int64 arrays as they are.
+    """
     return chain.from_iterable(
         segment if type(segment) is list else map(tuple, segment.tolist())
         for segment in segments
@@ -421,15 +432,25 @@ def _segment_edges(segments: Iterable[Any]) -> Iterator[tuple[Node, Node]]:
 def _read_graph(
     scan: _Scan, read: Callable[[int], bytes], sources: list[Node] | None
 ) -> CGraph:
-    """Scan to a :class:`CGraph` inside one ``graphs.ingest`` span."""
+    """Scan to a :class:`CGraph` inside one ``graphs.ingest`` span.
+
+    The whole file is scanned before any structural check, so a
+    malformed line raises before a self-loop or duplicate edge.  The
+    segments then intern as they are and the graph builds from one CSR
+    table (:meth:`CGraph._from_interned`): no ``(u, v)`` tuple is made
+    for a run of plain lines.
+    """
     from repro.obs.trace import span
 
     with span("graphs.ingest") as record:
-        edges = list(_segment_edges(scan.scan(read)))
+        segments = list(scan.scan(read))
         if sources is None and scan.sources:
             sources = scan.sources
-        graph = CGraph(edges, nodes=scan.isolated, sources=sources)
-        scan.report(record, len(edges))
+        us, vs, index, nodes, _ = _intern_segments(segments)
+        graph = CGraph._from_interned(
+            us, vs, nodes, index, isolated=scan.isolated, sources=sources
+        )
+        scan.report(record, len(us))
     return graph
 
 

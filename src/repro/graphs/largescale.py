@@ -39,7 +39,6 @@ import json
 import sys
 from array import array
 from collections.abc import Iterable, Iterator
-from itertools import chain
 from math import sqrt
 from pathlib import Path
 from typing import Hashable
@@ -49,7 +48,14 @@ from repro.exceptions import (
     MissingNodeError,
     ParameterError,
 )
-from repro.graphs.compiled import CompiledGraph
+from repro.graphs.compiled import (
+    CompiledGraph,
+    _add_nodes,
+    _csr_from_buffers,
+    _intern_edges,
+    _intern_segments,
+    _source_ids,
+)
 from repro.graphs.io import EdgeListStream
 from repro.sketches.hashing import hash_stream
 
@@ -240,8 +246,7 @@ def compile_edge_stream(
     the materialized path.
     """
     if num_nodes is None:
-        us, vs, index, node_list = _intern_edges(edges)
-        return _interned_graph(us, vs, index, node_list, isolated, sources)
+        return _interned_graph(_intern_edges(edges), isolated, sources)
     n = int(num_nodes)
     if n < 0 or n > _INT32_NODES:
         raise ParameterError(
@@ -267,58 +272,21 @@ def compile_edge_stream(
     return _graph_from_buffers(n, us, vs, None, sources, to_id)
 
 
-def _intern_edges(
-    edges: Iterable[tuple[Node, Node]],
-) -> tuple[array, array, dict[Node, int], list[Node]]:
-    """Intern an edge stream in first-seen ``(u, v)`` order.
-
-    Returns the two ``int32`` endpoint buffers, the node → id index and
-    the node list.  Self-loops raise
-    :class:`~repro.exceptions.GraphStructureError` here; duplicate
-    edges are caught by the CSR build.
-    """
-    us = array("i")
-    vs = array("i")
-    index: dict[Node, int] = {}
-    node_list: list[Node] = []
-    append_node = node_list.append
-    get_id = index.get
-    for u, v in edges:
-        iu = get_id(u)
-        if iu is None:
-            iu = index[u] = len(node_list)
-            append_node(u)
-        iv = get_id(v)
-        if iv is None:
-            iv = index[v] = len(node_list)
-            append_node(v)
-        if iu == iv:
-            raise GraphStructureError(
-                f"self-loop {u!r} -> {v!r} is not allowed in a c-graph"
-            )
-        us.append(iu)
-        vs.append(iv)
-    return us, vs, index, node_list
-
-
 def _interned_graph(
-    us: array,
-    vs: array,
-    index: dict[Node, int],
-    node_list: list[Node],
+    interned: tuple,
     isolated: Iterable[Node],
     sources: Iterable[Node] | None,
 ) -> StreamedGraph:
     """The post-loop half of an interned compile: append the edge-free
     ``isolated`` nodes, then build the tables and resolve ``sources``."""
-    for node in isolated:
-        if node not in index:
-            index[node] = len(node_list)
-            node_list.append(node)
+    us, vs, index, node_list, keys = interned
+    _add_nodes(index, node_list, isolated)
     n = len(node_list)
     if n > _INT32_NODES:  # pragma: no cover - 2^31 nodes
         raise ParameterError("graph exceeds the int32 interning tier")
-    return _graph_from_buffers(n, us, vs, node_list, sources, index.get)
+    return _graph_from_buffers(
+        n, us, vs, node_list, sources, index.get, keys
+    )
 
 
 def _graph_from_buffers(
@@ -328,134 +296,53 @@ def _graph_from_buffers(
     nodes: list[Node] | None,
     sources: Iterable[Node] | None,
     to_id,
+    keys=None,
 ) -> StreamedGraph:
     """CSR build, source resolution and wrapping for interned buffers.
 
     ``nodes`` is the interned node list, None for identity ids.
     ``to_id`` maps a user source to its id, or None when the graph has
-    no such node; ``sources=None`` takes the in-degree-zero nodes.
+    no such node; ``keys`` are the interner's bulk keys, if any (see
+    :func:`_source_ids`); ``sources=None`` takes the in-degree-zero
+    nodes.
     """
     node_list = range(n) if nodes is None else nodes
-    m = len(us)
-    if _np is not None:
-        tables = _csr_from_buffers_numpy(n, m, us, vs, node_list)
-    else:
-        tables = _csr_from_buffers_python(n, m, us, vs, node_list)
-    out_offsets, out_targets, in_offsets, in_sources = tables
-
-    if sources is None:
-        if _np is not None:
-            indeg = in_offsets[1:] - in_offsets[:-1]
-            source_ids = tuple((indeg == 0).nonzero()[0].tolist())
-        else:
-            source_ids = tuple(
-                i
-                for i in range(n)
-                if in_offsets[i + 1] == in_offsets[i]
-            )
-    else:
-        ids = set()
-        for s in sources:
-            i = to_id(s)
-            if i is None:
-                raise MissingNodeError(s)
-            ids.add(i)
-        source_ids = tuple(sorted(ids))
-
+    out_offsets, out_targets, in_offsets, in_sources = _csr_from_buffers(
+        n, us, vs, node_list
+    )
     return _wrap_tables(
         n=n,
         out_offsets=out_offsets,
         out_targets=out_targets,
         in_offsets=in_offsets,
         in_sources=in_sources,
-        source_ids=source_ids,
+        source_ids=(
+            None if sources is None else _source_ids(sources, to_id, keys)
+        ),
         nodes=nodes,
     )
 
 
-def _csr_from_buffers_numpy(n: int, m: int, us: array, vs: array, nodes):
-    """Forward + reverse CSR by stable sorts.
-
-    Ordering contract (must match ``CompiledGraph.__init__``): forward
-    adjacency groups by ``u`` ascending, keeping input edge order
-    within a ``u``; reverse adjacency lists each node's parents by
-    ascending interned id.  A stable sort on ``u`` gives the first; a
-    stable re-sort of that array on ``v`` gives the second, because
-    within one ``v`` the u-sorted order *is* ascending-``u`` order.
-    """
-    np = _np
-    if m == 0:
-        empty_off = np.zeros(n + 1, dtype=np.int64)
-        empty = np.empty(0, dtype=np.int32)
-        return empty_off, empty, empty_off.copy(), empty
-    us_a = np.frombuffer(us, dtype=np.int32)
-    vs_a = np.frombuffer(vs, dtype=np.int32)
-    loops = us_a == vs_a
-    if loops.any():
-        u = nodes[int(us_a[int(loops.nonzero()[0][0])])]
-        raise GraphStructureError(
-            f"self-loop {u!r} -> {u!r} is not allowed in a c-graph"
-        )
-    key = us_a.astype(np.int64) * n + vs_a
-    key.sort()
-    dup = (key[1:] == key[:-1]).nonzero()[0]
-    if len(dup):
-        k = int(key[int(dup[0])])
-        raise GraphStructureError(
-            f"duplicate edge {nodes[k // n]!r} -> {nodes[k % n]!r}"
-        )
-    order_u = np.argsort(us_a, kind="stable")
-    out_targets = np.ascontiguousarray(vs_a[order_u])
-    sorted_us = us_a[order_u]
-    out_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(us_a, minlength=n), out=out_offsets[1:])
-    order_v = np.argsort(out_targets, kind="stable")
-    in_sources = np.ascontiguousarray(sorted_us[order_v])
-    in_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(vs_a, minlength=n), out=in_offsets[1:])
-    return out_offsets, out_targets, in_offsets, in_sources
-
-
-def _csr_from_buffers_python(n: int, m: int, us: array, vs: array, nodes):
-    """The NumPy-free CSR build: counting sort, same ordering contract."""
-    out_counts = [0] * n
-    in_counts = [0] * n
-    seen: set[int] = set()
-    for e in range(m):
-        u = us[e]
-        v = vs[e]
-        k = u * n + v
-        if k in seen:
-            raise GraphStructureError(
-                f"duplicate edge {nodes[u]!r} -> {nodes[v]!r}"
-            )
-        seen.add(k)
-        out_counts[u] += 1
-        in_counts[v] += 1
-    del seen
-    out_offsets = [0] * (n + 1)
-    in_offsets = [0] * (n + 1)
-    for i in range(n):
-        out_offsets[i + 1] = out_offsets[i] + out_counts[i]
-        in_offsets[i + 1] = in_offsets[i] + in_counts[i]
-    # Forward CSR: group by u (stable, so input order survives within u).
-    fill = list(out_offsets[:-1])
-    out_targets = array("i", bytes(4 * m))
-    for e in range(m):
-        u = us[e]
-        out_targets[fill[u]] = vs[e]
-        fill[u] += 1
-    # Reverse CSR: walk the forward CSR in ascending u, appending to each
-    # target's slot — parents come out ascending by id, exactly like
-    # ``CompiledGraph.__init__``'s pred pass.
-    fill = list(in_offsets[:-1])
-    in_sources = array("i", bytes(4 * m))
-    for u in range(n):
-        for e in range(out_offsets[u], out_offsets[u + 1]):
-            v = out_targets[e]
-            in_sources[fill[v]] = u
-            fill[v] += 1
-    return out_offsets, out_targets, in_offsets, in_sources
+def _loops_raised(segments: Iterator) -> Iterator:
+    """The scanner's segments as they arrive, raising at the first
+    self-loop: the streamed compiler's errors come in file order, so a
+    self-loop raises before a malformed line after it is scanned."""
+    for segment in segments:
+        if type(segment) is list:
+            for u, v in segment:
+                if u == v:
+                    raise GraphStructureError(
+                        f"self-loop {u!r} -> {v!r} is not allowed in a "
+                        "c-graph"
+                    )
+        else:
+            loops = (segment[:, 0] == segment[:, 1]).nonzero()[0]
+            if len(loops):
+                u = int(segment[loops[0], 0])
+                raise GraphStructureError(
+                    f"self-loop {u!r} -> {u!r} is not allowed in a c-graph"
+                )
+        yield segment
 
 
 def compile_edge_list(
@@ -468,9 +355,9 @@ def compile_edge_list(
     The file runs through the io module's block scanner
     (:class:`~repro.graphs.io.EdgeListStream`): runs of plain ``u v``
     lines arrive as int64 arrays and intern in bulk (one ``np.unique``
-    for the whole file); a file with any per-line edge (string ids,
-    ``-5``, ...) interns edge by edge.  Both give the same first-seen
-    order, so the tables match ``read_edge_list(path).compiled()``.
+    for all of them); only per-line edges (string ids, ``-5``, ...)
+    intern edge by edge, and the two merge in first-seen order, so the
+    tables match ``read_edge_list(path).compiled()``.
     The scanner honors every header directive: ``# sources:`` pins the
     source set (unless ``sources`` overrides it) and ``# isolated:``
     restores edge-free nodes — without the intermediate
@@ -481,67 +368,14 @@ def compile_edge_list(
 
     stream = EdgeListStream(path)
     with span("graphs.ingest") as record:
-        us, vs, index, node_list = _intern_segments(stream.segments())
+        interned = _intern_segments(_loops_raised(stream.segments()))
         # Directives may trail the edges: they are complete only once
         # the stream is exhausted.
         if sources is None and stream.sources:
             sources = stream.sources
-        graph = _interned_graph(
-            us, vs, index, node_list, stream.isolated, sources
-        )
-        stream.report(record, len(us))
+        graph = _interned_graph(interned, stream.isolated, sources)
+        stream.report(record, len(interned[0]))
     return graph
-
-
-def _intern_segments(
-    segments: Iterator,
-) -> tuple[array, array, dict[Node, int], list[Node]]:
-    """Intern an edge list's scanned segments in first-seen order.
-
-    While every segment is an int64 array, self-loops are checked per
-    segment as it arrives and the whole list interns at the end by
-    :func:`_intern_arrays`.  The first per-line segment hands the
-    arrays so far, itself and the rest of the stream to
-    :func:`_intern_edges`, which checks each edge as it arrives.
-    """
-    arrays = []
-    for segment in segments:
-        if type(segment) is list:
-            rest = chain(arrays, [segment], segments)
-            return _intern_edges(chain.from_iterable(
-                s if type(s) is list else s.tolist() for s in rest
-            ))
-        loops = (segment[:, 0] == segment[:, 1]).nonzero()[0]
-        if len(loops):
-            u = int(segment[loops[0], 0])
-            raise GraphStructureError(
-                f"self-loop {u!r} -> {u!r} is not allowed in a c-graph"
-            )
-        arrays.append(segment)
-    return _intern_arrays(arrays)
-
-
-def _intern_arrays(arrays: list) -> tuple:
-    """:func:`_intern_edges` for int64 ``(k, 2)`` edge arrays.
-
-    One ``np.unique`` over the ``u0 v0 u1 v1 ...`` sequence gives each
-    id's first position; ranking the ids by it is the first-seen
-    order, and the rank remap gives the ``int32`` endpoint buffers.
-    """
-    if not arrays:
-        return array("i"), array("i"), {}, []
-    np = _np
-    flat = np.concatenate(arrays).ravel()
-    ids, first, inverse = np.unique(
-        flat, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    interned = rank[inverse]
-    node_list = ids[order].tolist()
-    index = dict(zip(node_list, range(len(node_list))))
-    return interned[0::2].copy(), interned[1::2].copy(), index, node_list
 
 
 # ----------------------------------------------------------------------

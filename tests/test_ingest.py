@@ -7,20 +7,29 @@ every line takes the per-line parser, which is the reference here: on a
 corpus of edge cases, read as in-memory text, as a plain file and as a
 ``.gz`` file, with blocks cut down to a few bytes so that runs straddle
 them, each reader must give the same nodes (types and order), edges,
-tables, directives or exception as with the io module's NumPy handle
-set to None.
+tables, directives or exception as with the NumPy handles of the io,
+compiled and largescale modules set to None.
+
+``read_edge_list`` builds its graph table-first, from the interned
+segments and one CSR build; the per-edge ``CGraph(edges, ...)`` stays
+its oracle, with and without NumPy, on seeded random files and on
+files whose first fault must win.
 """
 
 from __future__ import annotations
 
 import gzip
+import random
 import re
 from io import BytesIO
 
 import pytest
 
 from repro.exceptions import GraphStructureError, ParameterError
+from repro.graphs import compiled as graph_compiled
 from repro.graphs import io as graph_io
+from repro.graphs import largescale as graph_largescale
+from repro.graphs.cgraph import CGraph
 from repro.graphs.io import (
     EdgeListStream,
     read_edge_list,
@@ -61,6 +70,7 @@ CORPUS = {
     "three-token-line": "1 2\n2 3 4\n",
     "only-three-token-lines": "1 2 3\n4 5 6\n",
     "duplicate-edge": "1 2\n2 3\n1 2\n",
+    "duplicates-out-of-key-order": "1 2\n3 4\n3 4\n1 2\n",
     "self-loop": "1 2\n3 3\n",
     "self-loop-before-malformed": "1 2\n2 2\n3\n",
     "self-loop-before-malformed-string": "1 2\n2 2\nx\n",
@@ -97,6 +107,9 @@ def graph_summary(graph) -> dict:
     return {
         "nodes": typed(graph.nodes()),
         "edges": [typed(edge) for edge in graph.edges()],
+        "predecessors": [
+            typed(graph.predecessors(node)) for node in graph.nodes()
+        ],
         "sources": sorted(typed(graph.sources), key=repr),
         "tables": tables(graph),
     }
@@ -153,19 +166,26 @@ def readings(text: str, paths: dict) -> dict:
     return got
 
 
+def without_numpy(patch) -> None:
+    """Take every NumPy path of the readers: the scanner's bulk parse,
+    the interning and CSR sorts and the streamed compiler's."""
+    for module in (graph_io, graph_compiled, graph_largescale):
+        patch.setattr(module, "_np", None)
+
+
 @pytest.mark.parametrize("case", sorted(CORPUS))
 def test_scanner_matches_per_line_parser(case, tmp_path, monkeypatch):
     text = CORPUS[case]
     paths = write_inputs(text, tmp_path)
     with monkeypatch.context() as patch:
-        patch.setattr(graph_io, "_np", None)
+        without_numpy(patch)
         reference = readings(text, paths)
     for block in BLOCK_SIZES:
         with monkeypatch.context() as patch:
             if block is not None:
                 patch.setattr(graph_io, "_BLOCK_BYTES", block)
             assert readings(text, paths) == reference, block
-            patch.setattr(graph_io, "_np", None)
+            without_numpy(patch)
             assert readings(text, paths) == reference, block
 
 
@@ -328,3 +348,174 @@ def test_bulk_lines_count_edges_not_blank_lines(tmp_path):
         "edges": 3, "bulk_lines": 3, "fallback_lines": 0, "blocks": 1,
     }
     assert counted == (3, 0)
+
+
+# ----------------------------------------------------------------------
+# The table-first reader against the per-edge CGraph
+# ----------------------------------------------------------------------
+
+
+def table_view(value):
+    """A compiled table with its container and element types."""
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, typed(value)
+    return value
+
+
+def full_summary(graph) -> dict:
+    """Everything a reader builds: nodes with their types and order,
+    both adjacencies in order, sources, and every compiled table."""
+    nodes = graph.nodes()
+    compiled = graph.compiled()
+    names = [
+        "n", "m", "nodes", "index", "succ_ids", "pred_ids",
+        "out_offsets", "out_targets", "in_offsets", "in_sources",
+        "out_degree", "in_degree", "source_ids", "sink_ids", "merge_ids",
+        "is_dag", "num_levels",
+    ]
+    if compiled.is_dag:
+        names += ["topo_order", "topo_index", "depth", "level_offsets"]
+    return {
+        "nodes": typed(nodes),
+        "successors": [typed(graph.successors(v)) for v in nodes],
+        "predecessors": [typed(graph.predecessors(v)) for v in nodes],
+        "sources": sorted(typed(graph.sources), key=repr),
+        "sources_explicit": graph.sources_explicit,
+        "edges": graph.number_of_edges(),
+        "is_dag": graph.is_dag(),
+        "compiled": {
+            name: table_view(getattr(compiled, name)) for name in names
+        },
+    }
+
+
+def per_edge_graph(path, sources):
+    """The oracle: ``CGraph`` fed the file's edges one by one."""
+    stream = EdgeListStream(path)
+    edges = list(stream.edges())
+    if sources is None and stream.sources:
+        sources = stream.sources
+    return CGraph(edges, nodes=stream.isolated, sources=sources)
+
+
+def random_edge_file(seed: int) -> tuple[str, list | None]:
+    """A seeded edge list and an explicit source list (or None).
+
+    Most edges join small ints, so runs of plain lines reach the bulk
+    parser; the rest carry string ids, negative ids or ids of 19 or
+    more digits, which the per-line parser reads, some of them beside
+    bulk ids.  ``# isolated:`` and ``# sources:`` directives, comments
+    and blank lines land mid-file, and the isolated nodes include ones
+    that also have edges.  Even seeds give DAGs, odd seeds may not.
+    """
+    rng = random.Random(seed)
+    ints = list(range(rng.randint(4, 40)))
+    specials = [f"s{i}" for i in range(rng.randint(1, 5))]
+    specials += [-rng.randint(1, 9) for _ in range(rng.randint(0, 2))]
+    specials += [
+        10**19 + rng.randrange(10**6) for _ in range(rng.randint(0, 2))
+    ]
+    pool = list(dict.fromkeys(ints + specials))
+    rank = {node: i for i, node in enumerate(rng.sample(pool, len(pool)))}
+
+    def pick():
+        return rng.choice(ints if rng.random() < 0.8 else specials)
+
+    edges: set = set()
+    for _ in range(rng.randint(len(pool), 4 * len(pool))):
+        u, v = pick(), pick()
+        if u == v:
+            continue
+        if seed % 2 == 0 and rank[u] > rank[v]:
+            u, v = v, u
+        edges.add((u, v))
+    ordered = sorted(edges, key=repr)
+    rng.shuffle(ordered)
+    lines = [f"{u} {v}" for u, v in ordered]
+    used = sorted({x for edge in ordered for x in edge}, key=repr)
+    isolated = rng.sample(used, min(3, len(used))) + ["lonely", 777]
+    extras = [
+        "# isolated: " + " ".join(map(str, isolated)),
+        "# a comment: 5 6",
+        "",
+    ]
+    sources = None
+    if seed % 3 == 1:
+        named = rng.sample(used + ["lonely"], min(2, len(used)))
+        extras.append("# sources: " + " ".join(map(str, named)))
+    elif seed % 3 == 2:
+        sources = rng.sample(used, min(2, len(used)))
+    for extra in extras:
+        lines.insert(rng.randint(0, len(lines)), extra)
+    return "\n".join(lines) + "\n", sources
+
+
+def compare_with_per_edge_graph(text, sources, tmp_path):
+    """Both readers' outcome equals the per-edge graph's; returns it."""
+    path = tmp_path / "graph.txt"
+    path.write_bytes(text.encode("utf-8"))
+    reference = outcome(lambda: full_summary(per_edge_graph(path, sources)))
+    from_file = outcome(
+        lambda: full_summary(read_edge_list(path, sources=sources))
+    )
+    from_text = outcome(
+        lambda: full_summary(read_edge_list_text(text, sources=sources))
+    )
+    assert from_file == reference
+    if reference[0] == "raised":
+        reference = (*reference[:2], reference[2].replace(str(path), "<text>"))
+    assert from_text == reference
+    return reference
+
+
+@pytest.mark.parametrize("numpy_handle", ("numpy", "none"))
+@pytest.mark.parametrize("block", (None, 64))
+@pytest.mark.parametrize("seed", range(16))
+def test_table_first_reader_matches_per_edge_graph(
+    seed, block, numpy_handle, tmp_path, monkeypatch
+):
+    if numpy_handle == "none":
+        without_numpy(monkeypatch)
+    if block is not None:
+        monkeypatch.setattr(graph_io, "_BLOCK_BYTES", block)
+    text, sources = random_edge_file(seed)
+    reference = compare_with_per_edge_graph(text, sources, tmp_path)
+    assert reference[0] == "ok", reference
+
+
+#: name -> (text, explicit sources): files whose first fault must win.
+FAULTS = {
+    "duplicate-before-self-loop": ("1 2\n2 3\n1 2\n3 3\n", None),
+    "self-loop-before-duplicate": ("1 2\n3 3\n1 2\n", None),
+    "malformed-after-self-loop": ("1 2\n2 2\n3\n", None),
+    "two-missing-directive-sources": ("1 2\n2 3\n# sources: 1 98 99\n", None),
+    "two-missing-explicit-sources": ("a 1\n1 2\n", ["x", "y"]),
+    "per-line-repeat-of-bulk-edge": ("1 2\n2 3\nx 1\n1 2\nx 1\n", None),
+    "bulk-duplicate-before-per-line-loop": ("x 1\n1 2\n1 2\nx x\n", None),
+    "per-line-loop-before-bulk-duplicate": ("1 2\nx x\n2 3\n1 2\n", None),
+}
+
+
+@pytest.mark.parametrize("numpy_handle", ("numpy", "none"))
+@pytest.mark.parametrize("case", sorted(FAULTS))
+def test_table_first_reader_raises_first_fault(
+    case, numpy_handle, tmp_path, monkeypatch
+):
+    if numpy_handle == "none":
+        without_numpy(monkeypatch)
+    text, sources = FAULTS[case]
+    reference = compare_with_per_edge_graph(text, sources, tmp_path)
+    assert reference[0] == "raised", reference
+
+
+def test_random_files_mix_both_parsers():
+    """Every random file sends lines down both parsers, so the reader
+    interns NumPy runs and per-line edges together."""
+    pytest.importorskip("numpy")
+    counter = ingest_counter()
+    for seed in range(16):
+        bulk = counter.value(path="bulk")
+        per_line = counter.value(path="per_line")
+        read_edge_list_text(random_edge_file(seed)[0])
+        assert counter.value(path="bulk") > bulk, seed
+        assert counter.value(path="per_line") > per_line, seed

@@ -28,11 +28,13 @@ from repro.exceptions import (
     ParameterError,
 )
 from repro.graphs.cgraph import CGraph
+from repro.graphs.compiled import (
+    _csr_from_buffers_numpy,
+    _csr_from_buffers_python,
+)
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.largescale import (
     StreamedGraph,
-    _csr_from_buffers_numpy,
-    _csr_from_buffers_python,
     compile_edge_list,
     compile_edge_stream,
     load_compiled,
