@@ -70,13 +70,8 @@ def acyclic_subgraph(
     """
     if source is None:
         source = graph.single_source()
-    if source not in graph:
-        raise MissingNodeError(source)
-    if method == "dfs":
-        return _acyclic_dfs(graph, source)
-    if method == "signature":
-        return _acyclic_signature(graph, source)
-    raise ValueError(f"unknown method {method!r}")
+    reachable, kept = _acyclic_edges(graph, source, method)
+    return CGraph(kept, nodes=reachable, sources=[source])
 
 
 def acyclic_subgraph_dfs(graph: CGraph, source: Node | None = None) -> CGraph:
@@ -91,7 +86,24 @@ def acyclic_subgraph_signature(
     return acyclic_subgraph(graph, source, method="signature")
 
 
-def _acyclic_dfs(graph: CGraph, source: Node) -> CGraph:
+def _acyclic_edges(
+    graph: CGraph, source: Node, method: str
+) -> tuple[set[Node], list[Edge]]:
+    """``Acyclic`` from ``source`` as ``(reachable, kept)``: the nodes it
+    reaches and the edges it keeps, which are exactly the nodes and
+    edges of the graph :func:`acyclic_subgraph` builds from them."""
+    if source not in graph:
+        raise MissingNodeError(source)
+    if method == "dfs":
+        return _acyclic_dfs(graph, source)
+    if method == "signature":
+        return _acyclic_signature(graph, source)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _acyclic_dfs(
+    graph: CGraph, source: Node
+) -> tuple[set[Node], list[Edge]]:
     dfs = dfs_forest(graph, [source])
     reachable = set(dfs.discovery)
     finish = dfs.finish
@@ -100,10 +112,12 @@ def _acyclic_dfs(graph: CGraph, source: Node) -> CGraph:
         for u, v in graph.edges()
         if u in reachable and v in reachable and finish[v] < finish[u]
     ]
-    return CGraph(kept, nodes=reachable, sources=[source])
+    return reachable, kept
 
 
-def _acyclic_signature(graph: CGraph, source: Node) -> CGraph:
+def _acyclic_signature(
+    graph: CGraph, source: Node
+) -> tuple[set[Node], list[Edge]]:
     dfs = dfs_forest(graph, [source])
     sigma = dfs.discovery
     reachable = set(sigma)
@@ -148,7 +162,7 @@ def _acyclic_signature(graph: CGraph, source: Node) -> CGraph:
         sigma_wu1, sigma_wv1 = branch
         if sigma[v] < sigma_wu1 <= sigma[u]:
             kept.append((u, v))
-    return CGraph(kept, nodes=reachable, sources=[source])
+    return reachable, kept
 
 
 def _deepest_common_junction(
@@ -211,19 +225,17 @@ def largest_acyclic_subgraph(
     initiated from every node in the graph, and then choose the largest
     resulting DAG" — used when a cyclic network has no clear initiator.
     Size is compared by node count, then edge count; ties break on the
-    earliest candidate, so results are deterministic.
+    earliest candidate, so results are deterministic.  Only the winning
+    candidate's graph is built.
     """
     if candidates is None:
         candidates = list(graph.nodes())
     if not candidates:
         raise MissingSourceError("no candidate start nodes supplied")
-    best: CGraph | None = None
+    best = None
     for start in candidates:
-        result = acyclic_subgraph(graph, start, method=method)
-        if best is None or (
-            result.number_of_nodes(),
-            result.number_of_edges(),
-        ) > (best.number_of_nodes(), best.number_of_edges()):
-            best = result
-    assert best is not None
-    return best
+        reachable, kept = _acyclic_edges(graph, start, method)
+        if best is None or (len(reachable), len(kept)) > best[0]:
+            best = ((len(reachable), len(kept)), start, reachable, kept)
+    _, start, reachable, kept = best
+    return CGraph(kept, nodes=reachable, sources=[start])
