@@ -54,7 +54,6 @@ import sys
 import weakref
 from array import array
 from collections.abc import Iterable, Sequence
-from itertools import chain
 from typing import TYPE_CHECKING, Hashable
 
 from repro.exceptions import (
@@ -932,19 +931,18 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _intern_edges(
-    edges: Iterable[tuple[Node, Node]],
+    edges: Iterable[tuple[Node, Node]], interned: tuple | None = None
 ) -> tuple:
     """Intern an edge stream in first-seen ``(u, v)`` order.
 
-    Returns the two ``int32`` endpoint buffers, the node → id index, the
-    node list and no bulk keys (see :func:`_intern_arrays`).  Nothing is
-    checked here: the CSR build raises the first self-loop or duplicate
-    edge in edge order.
+    Returns the two ``int32`` endpoint buffers, the node → id index and
+    the node list; given such a tuple as ``interned``, extends it in
+    place and returns it.  Nothing is checked here: the CSR build
+    raises the first self-loop or duplicate edge in edge order.
     """
-    us = array("i")
-    vs = array("i")
-    index: dict[Node, int] = {}
-    node_list: list[Node] = []
+    if interned is None:
+        interned = (array("i"), array("i"), {}, [])
+    us, vs, index, node_list = interned
     append_node = node_list.append
     get_id = index.get
     for u, v in edges:
@@ -958,64 +956,34 @@ def _intern_edges(
             append_node(v)
         us.append(iu)
         vs.append(iv)
-    return us, vs, index, node_list, None
-
-
-def _intern_arrays(arrays: list) -> tuple:
-    """:func:`_intern_edges` for int64 ``(k, 2)`` edge arrays.
-
-    One ``np.unique`` over the ``u0 v0 u1 v1 ...`` sequence gives each
-    id's first position; ranking the ids by it is the first-seen
-    order, and the rank remap gives the ``int32`` endpoint buffers.
-    The bulk keys returned last are the sorted ids and their interned
-    ids, against which a list of int nodes resolves in one search.
-    """
-    if not arrays:
-        return array("i"), array("i"), {}, [], None
-    np = _np
-    flat = np.concatenate(arrays).ravel()
-    ids, first, inverse = np.unique(
-        flat, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    interned = rank[inverse]
-    node_list = ids[order].tolist()
-    index = dict(zip(node_list, range(len(node_list))))
-    return (
-        interned[0::2].copy(),
-        interned[1::2].copy(),
-        index,
-        node_list,
-        (ids, rank),
-    )
+    return interned
 
 
 def _intern_segments(segments: Iterable) -> tuple:
     """Intern the block scanner's edge segments in first-seen order.
 
     ``segments`` come in file order: an int64 ``(k, 2)`` array per run
-    of plain lines and a ``(u, v)`` tuple list per per-line run.  A file
-    of arrays only interns with :func:`_intern_arrays`' one
-    ``np.unique``, a file of lists only with :func:`_intern_edges`;
-    :func:`_intern_mixed` merges the two.  Nothing is checked here.
+    of plain lines and a ``(u, v)`` tuple list per per-line run.  Each
+    list interns through :func:`_intern_edges` as it arrives, so at most
+    one segment's tuples are alive at a time; the arrays wait for
+    :func:`_intern_mixed`, which interns them and merges the two.
+    Nothing is checked here.
     """
-    arrays, array_at, lines, lines_at = [], [], [], []
+    lines = (array("i"), array("i"), {}, [])
+    arrays, array_at, lines_at, line_sizes = [], [], [], []
     m = 0
     for segment in segments:
         if type(segment) is list:
-            lines.append(segment)
+            _intern_edges(segment, lines)
             lines_at.append(m)
+            line_sizes.append(len(segment))
         else:
             arrays.append(segment)
             array_at.append(m)
         m += len(segment)
-    if not lines:
-        return _intern_arrays(arrays)
     if not arrays:
-        return _intern_edges(chain.from_iterable(lines))
-    return _intern_mixed(m, arrays, array_at, lines, lines_at)
+        return lines
+    return _intern_mixed(arrays, array_at, lines, lines_at, line_sizes)
 
 
 def _flat_positions(starts: list[int], sizes: list[int]):
@@ -1031,26 +999,48 @@ def _flat_positions(starts: list[int], sizes: list[int]):
     )
 
 
-def _intern_mixed(
-    m: int, arrays: list, array_at: list, lines: list, lines_at: list
-) -> tuple:
-    """Intern a file that mixes int64 arrays with per-line edges.
+def _ranks(order):
+    """The ``int32`` inverse of the permutation ``order``."""
+    np = _np
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    return rank
 
-    The arrays intern with one ``np.unique`` and only the per-line edges
-    walk through :func:`_intern_edges`.  Each node's first position in
-    the file then orders the two node sets into one; a per-line int
-    that is also a bulk id (``source 12`` after ``12 10``) keeps the
-    earlier of its two positions.
+
+def _intern_mixed(
+    arrays: list,
+    array_at: list[int],
+    lines: tuple,
+    lines_at: list[int],
+    line_sizes: list[int],
+) -> tuple:
+    """Intern int64 edge arrays and merge in the per-line edges.
+
+    One ``np.unique`` over the arrays' ``u0 v0 u1 v1 ...`` sequence
+    gives each id's first position; ranking the ids by it is the
+    first-seen order, and the rank remap gives the ``int32`` endpoint
+    buffers.  ``lines`` are the per-line edges as :func:`_intern_edges`
+    interned them, from segments of ``line_sizes`` edges starting at
+    edges ``lines_at`` (the arrays start at edges ``array_at``).  With
+    any, each node's first position in the file orders the two node
+    sets into one; a per-line int that is also a bulk id (``source 12``
+    after ``12 10``) keeps the earlier of its two positions.
     """
     np = _np
-    line_us, line_vs, _, line_nodes, _ = _intern_edges(
-        chain.from_iterable(lines)
-    )
     ids, first, inverse = np.unique(
         np.concatenate(arrays).ravel(), return_index=True, return_inverse=True
     )
+    line_us, line_vs, _, line_nodes = lines
+    if not line_nodes:
+        # The arrays are the whole file, so their positions are its own.
+        order = np.argsort(first)
+        interned = _ranks(order)[inverse]
+        node_list = ids[order].tolist()
+        index = dict(zip(node_list, range(len(node_list))))
+        return interned[0::2].copy(), interned[1::2].copy(), index, node_list
+
     bulk_pos = _flat_positions(array_at, [len(a) for a in arrays])
-    line_pos = _flat_positions(lines_at, [len(s) for s in lines])
+    line_pos = _flat_positions(lines_at, line_sizes)
     line_flat = np.empty(len(line_pos), dtype=np.int32)
     line_flat[0::2] = np.frombuffer(line_us, dtype=np.int32)
     line_flat[1::2] = np.frombuffer(line_vs, dtype=np.int32)
@@ -1077,22 +1067,15 @@ def _intern_mixed(
     new = np.flatnonzero(slot < 0)
     slot[new] = bulk + np.arange(len(new))
     order = np.argsort(np.concatenate((position, line_position[new])))
-    rank = np.empty(len(order), dtype=np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
+    rank = _ranks(order)
     candidates = ids.tolist() + [line_nodes[j] for j in new.tolist()]
     node_list = [candidates[i] for i in order.tolist()]
 
-    interned = np.empty(2 * m, dtype=np.int32)
+    interned = np.empty(len(bulk_pos) + len(line_pos), dtype=np.int32)
     interned[bulk_pos] = rank[inverse]
     interned[line_pos] = rank[slot][line_flat]
     index = dict(zip(node_list, range(len(node_list))))
-    return (
-        interned[0::2].copy(),
-        interned[1::2].copy(),
-        index,
-        node_list,
-        (ids, rank[:bulk]),
-    )
+    return interned[0::2].copy(), interned[1::2].copy(), index, node_list
 
 
 def _add_nodes(index: dict, nodes: list, extra: Iterable[Node]) -> None:
@@ -1101,42 +1084,6 @@ def _add_nodes(index: dict, nodes: list, extra: Iterable[Node]) -> None:
         if node not in index:
             index[node] = len(nodes)
             nodes.append(node)
-
-
-def _source_ids(sources: Iterable[Node], to_id, keys) -> tuple[int, ...]:
-    """The ascending ids of ``sources``; :class:`MissingNodeError` for
-    the first one in the given order that the graph lacks.
-
-    ``keys`` are an interner's bulk keys (see :func:`_intern_arrays`),
-    or None.  A list of int sources is looked up against them in one
-    search, and only the sources it misses (isolated nodes, per-line
-    ids) go through ``to_id``, which maps a node to its id or None.
-    """
-    sources = list(sources)
-    found = None
-    misses = range(len(sources))
-    if keys is not None and sources and set(map(type, sources)) == {int}:
-        np = _np
-        values, interned = keys
-        try:
-            wanted = np.array(sources, dtype=np.int64)
-        except OverflowError:  # an id past int64 is no bulk id
-            wanted = None
-        if wanted is not None:
-            at = np.minimum(np.searchsorted(values, wanted), len(values) - 1)
-            hit = values[at] == wanted
-            found = interned[at[hit]]
-            misses = (~hit).nonzero()[0].tolist()
-    ids = []
-    for k in misses:
-        i = to_id(sources[k])
-        if i is None:
-            raise MissingNodeError(sources[k])
-        ids.append(i)
-    if found is not None:
-        ids = _np.array(ids, dtype=_np.int64)
-        return tuple(_np.union1d(found, ids).tolist())
-    return tuple(sorted(set(ids)))
 
 
 def _edge_fault(u: Node, v: Node) -> GraphStructureError:

@@ -434,19 +434,20 @@ def _read_graph(
 ) -> CGraph:
     """Scan to a :class:`CGraph` inside one ``graphs.ingest`` span.
 
-    The whole file is scanned before any structural check, so a
+    The segments intern as they are scanned, which checks nothing, so
+    the whole file is scanned before any structural check and a
     malformed line raises before a self-loop or duplicate edge.  The
-    segments then intern as they are and the graph builds from one CSR
-    table (:meth:`CGraph._from_interned`): no ``(u, v)`` tuple is made
-    for a run of plain lines.
+    graph then builds from one CSR table (:meth:`CGraph._from_interned`):
+    no ``(u, v)`` tuple is made for a run of plain lines.
     """
     from repro.obs.trace import span
 
     with span("graphs.ingest") as record:
-        segments = list(scan.scan(read))
+        us, vs, index, nodes = _intern_segments(scan.scan(read))
+        # Directives may trail the edges: they are complete only once
+        # the scan is.
         if sources is None and scan.sources:
             sources = scan.sources
-        us, vs, index, nodes, _ = _intern_segments(segments)
         graph = CGraph._from_interned(
             us, vs, nodes, index, isolated=scan.isolated, sources=sources
         )

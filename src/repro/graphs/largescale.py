@@ -43,18 +43,14 @@ from math import sqrt
 from pathlib import Path
 from typing import Hashable
 
-from repro.exceptions import (
-    GraphStructureError,
-    MissingNodeError,
-    ParameterError,
-)
+from repro.exceptions import MissingNodeError, ParameterError
 from repro.graphs.compiled import (
     CompiledGraph,
     _add_nodes,
     _csr_from_buffers,
+    _edge_fault,
     _intern_edges,
     _intern_segments,
-    _source_ids,
 )
 from repro.graphs.io import EdgeListStream
 from repro.sketches.hashing import hash_stream
@@ -260,9 +256,7 @@ def compile_edge_stream(
         if not (isinstance(v, int) and 0 <= v < n):
             raise MissingNodeError(v)
         if u == v:
-            raise GraphStructureError(
-                f"self-loop {u!r} -> {v!r} is not allowed in a c-graph"
-            )
+            raise _edge_fault(u, v)
         us.append(u)
         vs.append(v)
 
@@ -279,14 +273,12 @@ def _interned_graph(
 ) -> StreamedGraph:
     """The post-loop half of an interned compile: append the edge-free
     ``isolated`` nodes, then build the tables and resolve ``sources``."""
-    us, vs, index, node_list, keys = interned
+    us, vs, index, node_list = interned
     _add_nodes(index, node_list, isolated)
     n = len(node_list)
     if n > _INT32_NODES:  # pragma: no cover - 2^31 nodes
         raise ParameterError("graph exceeds the int32 interning tier")
-    return _graph_from_buffers(
-        n, us, vs, node_list, sources, index.get, keys
-    )
+    return _graph_from_buffers(n, us, vs, node_list, sources, index.get)
 
 
 def _graph_from_buffers(
@@ -296,29 +288,32 @@ def _graph_from_buffers(
     nodes: list[Node] | None,
     sources: Iterable[Node] | None,
     to_id,
-    keys=None,
 ) -> StreamedGraph:
     """CSR build, source resolution and wrapping for interned buffers.
 
     ``nodes`` is the interned node list, None for identity ids.
     ``to_id`` maps a user source to its id, or None when the graph has
-    no such node; ``keys`` are the interner's bulk keys, if any (see
-    :func:`_source_ids`); ``sources=None`` takes the in-degree-zero
-    nodes.
+    no such node; the first such source in the given order raises.
+    ``sources=None`` takes the in-degree-zero nodes.
     """
     node_list = range(n) if nodes is None else nodes
     out_offsets, out_targets, in_offsets, in_sources = _csr_from_buffers(
         n, us, vs, node_list
     )
+    source_ids = None
+    if sources is not None:
+        sources = list(sources)
+        ids = list(map(to_id, sources))
+        if None in ids:
+            raise MissingNodeError(sources[ids.index(None)])
+        source_ids = sorted(set(ids))
     return _wrap_tables(
         n=n,
         out_offsets=out_offsets,
         out_targets=out_targets,
         in_offsets=in_offsets,
         in_sources=in_sources,
-        source_ids=(
-            None if sources is None else _source_ids(sources, to_id, keys)
-        ),
+        source_ids=source_ids,
         nodes=nodes,
     )
 
@@ -331,17 +326,12 @@ def _loops_raised(segments: Iterator) -> Iterator:
         if type(segment) is list:
             for u, v in segment:
                 if u == v:
-                    raise GraphStructureError(
-                        f"self-loop {u!r} -> {v!r} is not allowed in a "
-                        "c-graph"
-                    )
+                    raise _edge_fault(u, v)
         else:
             loops = (segment[:, 0] == segment[:, 1]).nonzero()[0]
             if len(loops):
                 u = int(segment[loops[0], 0])
-                raise GraphStructureError(
-                    f"self-loop {u!r} -> {u!r} is not allowed in a c-graph"
-                )
+                raise _edge_fault(u, u)
         yield segment
 
 

@@ -18,6 +18,8 @@ Pins the three contracts the million-node tier rests on:
 from __future__ import annotations
 
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.graphs.compiled import (
     _csr_from_buffers_numpy,
     _csr_from_buffers_python,
 )
+import repro.graphs.io as graph_io
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.largescale import (
     StreamedGraph,
@@ -285,6 +288,44 @@ def test_compile_edge_list_reads_trailing_directives(tmp_path):
     assert tables_of(streamed) == tables_of(reference)
     assert streamed.sources == reference.sources == {"a", "f"}
     assert "lone" in streamed and 7 in streamed
+
+
+@pytest.mark.skipif(
+    not HAVE_NUMPY, reason="the pure-python CSR build's own peak hides it"
+)
+@pytest.mark.parametrize(
+    "reader, bytes_per_edge", [(compile_edge_list, 120), (read_edge_list, 180)]
+)
+def test_string_ids_intern_one_segment_at_a_time(
+    tmp_path, monkeypatch, reader, bytes_per_edge
+):
+    # String ids arrive as one (u, v) tuple list per block, and each
+    # list must intern as it arrives.  Holding every list to the end
+    # adds ~170 B per edge (a tuple and two str objects) to a traced
+    # peak of ~60 B per edge for compile_edge_list and ~90 B for
+    # read_edge_list, whose CGraph is part of it.
+    rng = random.Random(5)
+    m, n = 20_000, 2_000
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((u, v))
+    path = tmp_path / "strings.txt"
+    path.write_text(
+        "".join(f"node{u} node{v}\n" for u, v in sorted(edges)),
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(graph_io, "_BLOCK_BYTES", 4096)
+    reader(path)  # imports and caches stay out of the traced peak
+    tracemalloc.start()
+    try:
+        graph = reader(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.number_of_edges() == m
+    assert peak < bytes_per_edge * m
 
 
 # ----------------------------------------------------------------------
