@@ -346,8 +346,9 @@ def compile_edge_list(
     (:class:`~repro.graphs.io.EdgeListStream`): runs of plain ``u v``
     lines arrive as int64 arrays and intern in bulk (one ``np.unique``
     for all of them); only per-line edges (string ids, ``-5``, ...)
-    intern edge by edge, and the two merge in first-seen order, so the
-    tables match ``read_edge_list(path).compiled()``.
+    intern edge by edge, one block's segment at a time as it arrives,
+    and the two merge in first-seen order, so the tables match
+    ``read_edge_list(path).compiled()``.
     The scanner honors every header directive: ``# sources:`` pins the
     source set (unless ``sources`` overrides it) and ``# isolated:``
     restores edge-free nodes — without the intermediate
