@@ -82,6 +82,7 @@ from typing import Any, Hashable
 
 from repro.exceptions import MissingSourceError
 from repro.graphs.cgraph import CGraph
+from repro.graphs.compiled import stable_order
 from repro.graphs.validation import validate_filter_set
 from repro.backends.probe import (
     LIMB_BITS,
@@ -398,7 +399,7 @@ class NumpyBackend(SampledEvaluationMixin):
             np.arange(n, dtype=np.intp) - level_starts[depth[nodes_by_level]]
         )
         edge_level = depth[src] if src.size else np.empty(0, dtype=np.intp)
-        edges_by_level = np.argsort(edge_level, kind="stable")
+        edges_by_level = stable_order(edge_level, num_levels)
         edge_level_starts = np.searchsorted(
             edge_level[edges_by_level], np.arange(num_levels + 1)
         )
@@ -408,7 +409,7 @@ class NumpyBackend(SampledEvaluationMixin):
         col_to_row[source_idx] = np.arange(source_idx.size, dtype=np.intp)
         # Source rows grouped by depth once (ascending rows within a
         # depth), so each level slices out its origins.
-        origins_by_depth = np.argsort(depth[source_idx], kind="stable")
+        origins_by_depth = stable_order(depth[source_idx], num_levels)
         origin_starts = np.searchsorted(
             depth[source_idx][origins_by_depth], np.arange(num_levels + 1)
         )
@@ -430,7 +431,7 @@ class NumpyBackend(SampledEvaluationMixin):
             src_global = src[eids]  # ascending (CSR order is kept by the
             dst_global = dst[eids]  # stable sort) — already src-grouped
             if src_global.size:
-                by_dst = np.argsort(dst_global, kind="stable")
+                by_dst = stable_order(dst_global, n)
                 dst_sorted = dst_global[by_dst]
                 fwd_offsets = group_starts(dst_sorted)
                 fwd_uniq_dst = dst_sorted[fwd_offsets]

@@ -45,7 +45,9 @@ module holds the interning and CSR builds that both edge-list readers
 (:func:`repro.graphs.io.read_edge_list` and the scale tier's
 :func:`repro.graphs.largescale.compile_edge_list`) share: NumPy sorts
 when it is importable, a pure-python build with the same results
-otherwise.
+otherwise.  Every integer sort of those builds, and of the warm paths
+that read the tables, goes through :func:`stable_order`, a radix sort
+on 16-bit digits.
 """
 
 from __future__ import annotations
@@ -283,22 +285,14 @@ class CompiledGraph:
     def succ_ids(self) -> tuple:
         """Adjacency as tuples of int tuples (successor direction)."""
         if self._succ_ids is None:
-            off, tgt = self.out_offsets, self.out_targets
-            self._succ_ids = tuple(
-                tuple(int(c) for c in tgt[off[i]:off[i + 1]])
-                for i in range(self.n)
-            )
+            self._succ_ids = _split_table(self.out_offsets, self.out_targets)
         return self._succ_ids
 
     @property
     def pred_ids(self) -> tuple:
         """Adjacency as tuples of int tuples (predecessor direction)."""
         if self._pred_ids is None:
-            off, src = self.in_offsets, self.in_sources
-            self._pred_ids = tuple(
-                tuple(int(p) for p in src[off[i]:off[i + 1]])
-                for i in range(self.n)
-            )
+            self._pred_ids = _split_table(self.in_offsets, self.in_sources)
         return self._pred_ids
 
     # ------------------------------------------------------------------
@@ -712,6 +706,21 @@ def _table_nbytes(obj) -> int:
     return sys.getsizeof(obj)
 
 
+def _split_table(offsets, table) -> tuple:
+    """``table`` cut at ``offsets`` into one tuple of Python ints per node.
+
+    Lists, tuples and ``array`` tables are sliced as they are, with no
+    ``int()`` per element; NumPy tables convert once with ``tolist``.
+    """
+    if type(offsets).__module__.startswith("numpy"):
+        offsets = offsets.tolist()
+    if type(table).__module__.startswith("numpy"):
+        table = table.tolist()
+    return tuple(
+        tuple(table[a:b]) for a, b in zip(offsets, offsets[1:])
+    )
+
+
 def _csr_degrees(n: int, out_offsets, in_offsets):
     """Degree arrays from CSR offsets — vectorized when they are NumPy."""
     if type(out_offsets).__module__.startswith("numpy"):
@@ -930,6 +939,52 @@ def blocked_reach_counts(
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
+def stable_order(keys, bound: int):
+    """The stable ascending order of non-negative integer ``keys`` below
+    ``bound``: ``np.argsort(keys, kind="stable")``, as a radix sort.
+
+    NumPy's stable sort of 16-bit keys is a radix sort, many times
+    faster than its timsort of wider ones.  The keys are sorted by
+    16-bit digits, least significant first: one pass when ``bound``
+    fits in 16 bits, one more for each further 16 bits.  Keys that fit
+    are cast straight to ``uint16``; wider keys are read a digit at a
+    time through a ``uint16`` view, with no shifted or masked copy.
+    Callers hold NumPy arrays, so NumPy is imported here, not taken
+    from this module's optional handle.
+    """
+    import numpy as np
+
+    keys = np.asarray(keys)
+    width = keys.dtype.itemsize // 2
+    passes = min(-(-(int(bound) - 1).bit_length() // 16), width)
+    if passes <= 1:
+        return np.argsort(keys.astype(np.uint16, copy=False), kind="stable")
+    digits = np.ascontiguousarray(
+        keys, dtype=keys.dtype.newbyteorder("=")
+    ).view(np.uint16).reshape(-1, width)
+    if sys.byteorder == "big":
+        digits = digits[:, ::-1]
+    order = np.argsort(digits[:, 0], kind="stable")
+    for d in range(1, passes):
+        order = order[np.argsort(digits[order, d], kind="stable")]
+    return order
+
+
+def _unique(keys, bound: int) -> tuple:
+    """``np.unique(keys, return_index=True, return_inverse=True)`` of
+    non-negative integer ``keys`` below ``bound``, by one
+    :func:`stable_order`; the inverse is ``int32``."""
+    np = _np
+    order = stable_order(keys, bound)
+    ordered = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    inverse = np.empty(len(keys), dtype=np.int32)
+    inverse[order] = np.cumsum(starts, dtype=np.int32) - 1
+    return ordered[starts], order[starts], inverse
+
+
 def _intern_edges(
     edges: Iterable[tuple[Node, Node]], interned: tuple | None = None
 ) -> tuple:
@@ -1016,35 +1071,44 @@ def _intern_mixed(
 ) -> tuple:
     """Intern int64 edge arrays and merge in the per-line edges.
 
-    One ``np.unique`` over the arrays' ``u0 v0 u1 v1 ...`` sequence
-    gives each id's first position; ranking the ids by it is the
-    first-seen order, and the rank remap gives the ``int32`` endpoint
-    buffers.  ``lines`` are the per-line edges as :func:`_intern_edges`
-    interned them, from segments of ``line_sizes`` edges starting at
-    edges ``lines_at`` (the arrays start at edges ``array_at``).  With
-    any, each node's first position in the file orders the two node
-    sets into one; a per-line int that is also a bulk id (``source 12``
-    after ``12 10``) keeps the earlier of its two positions.
+    The arrays' ``u0 v0 u1 v1 ...`` sequence is copied into one int64
+    array, each array dropped from ``arrays`` once copied, and one
+    :func:`_unique` over it gives each id's first position; ranking the
+    ids by it (one :func:`stable_order`) is the first-seen order, and
+    the rank remap gives the ``int32`` endpoint buffers.  ``lines`` are
+    the per-line edges as :func:`_intern_edges` interned them, from
+    segments of ``line_sizes`` edges starting at edges ``lines_at``
+    (the arrays start at edges ``array_at``).  With any, each node's
+    first position in the file orders the two node sets into one; a
+    per-line int that is also a bulk id (``source 12`` after ``12 10``)
+    keeps the earlier of its two positions.
     """
     np = _np
-    ids, first, inverse = np.unique(
-        np.concatenate(arrays).ravel(), return_index=True, return_inverse=True
-    )
+    sizes = [len(a) for a in arrays]
+    flat = np.empty(2 * sum(sizes), dtype=np.int64)
+    at = 0
+    for i, size in enumerate(sizes):
+        flat[at:at + 2 * size] = arrays[i].ravel()
+        arrays[i] = None
+        at += 2 * size
+    # Plain ids are digit runs: non-negative, so they sort by radix.
+    ids, first, inverse = _unique(flat, int(flat.max()) + 1)
+    del flat
     line_us, line_vs, _, line_nodes = lines
     if not line_nodes:
         # The arrays are the whole file, so their positions are its own.
-        order = np.argsort(first)
+        order = stable_order(first, len(inverse))
         interned = _ranks(order)[inverse]
         node_list = ids[order].tolist()
         index = dict(zip(node_list, range(len(node_list))))
         return interned[0::2].copy(), interned[1::2].copy(), index, node_list
 
-    bulk_pos = _flat_positions(array_at, [len(a) for a in arrays])
+    bulk_pos = _flat_positions(array_at, sizes)
     line_pos = _flat_positions(lines_at, line_sizes)
     line_flat = np.empty(len(line_pos), dtype=np.int32)
     line_flat[0::2] = np.frombuffer(line_us, dtype=np.int32)
     line_flat[1::2] = np.frombuffer(line_vs, dtype=np.int32)
-    line_first = np.unique(line_flat, return_index=True)[1]
+    line_first = _unique(line_flat, len(line_nodes))[1]
     position = bulk_pos[first]
     line_position = line_pos[line_first]
 
@@ -1066,7 +1130,10 @@ def _intern_mixed(
         position[at] = np.minimum(position[at], line_position[shared])
     new = np.flatnonzero(slot < 0)
     slot[new] = bulk + np.arange(len(new))
-    order = np.argsort(np.concatenate((position, line_position[new])))
+    order = stable_order(
+        np.concatenate((position, line_position[new])),
+        len(bulk_pos) + len(line_pos),
+    )
     rank = _ranks(order)
     candidates = ids.tolist() + [line_nodes[j] for j in new.tolist()]
     node_list = [candidates[i] for i in order.tolist()]
@@ -1105,7 +1172,7 @@ def _csr_from_buffers(n: int, us, vs, nodes):
 
 
 def _csr_from_buffers_numpy(n: int, m: int, us, vs, nodes):
-    """Forward + reverse CSR by stable sorts.
+    """Forward + reverse CSR by stable sorts (:func:`stable_order`).
 
     Ordering contract (must match ``CompiledGraph.__init__``): forward
     adjacency groups by ``u`` ascending, keeping input edge order
@@ -1127,10 +1194,10 @@ def _csr_from_buffers_numpy(n: int, m: int, us, vs, nodes):
         return empty_off, empty, empty_off.copy(), empty
     us_a = np.frombuffer(us, dtype=np.int32)
     vs_a = np.frombuffer(vs, dtype=np.int32)
-    order_u = np.argsort(us_a, kind="stable")
+    order_u = stable_order(us_a, n)
     out_targets = np.ascontiguousarray(vs_a[order_u])
     sorted_us = us_a[order_u]
-    order_v = np.argsort(out_targets, kind="stable")
+    order_v = stable_order(out_targets, n)
     in_sources = np.ascontiguousarray(sorted_us[order_v])
     in_targets = out_targets[order_v]
     repeats = (in_sources[1:] == in_sources[:-1]) & (
@@ -1151,20 +1218,21 @@ def _csr_from_buffers_numpy(n: int, m: int, us, vs, nodes):
 
 def _csr_from_buffers_python(n: int, m: int, us, vs, nodes):
     """The NumPy-free CSR build: counting sort, same ordering contract,
-    same first fault in input order."""
+    same first fault in input order.
+
+    Repeats are found in the forward CSR, one node's targets at a time,
+    so no set ever holds more than one out-degree of targets.
+    """
     out_counts = [0] * n
     in_counts = [0] * n
-    seen: set[int] = set()
+    loop = None
     for e in range(m):
         u = us[e]
         v = vs[e]
-        k = u * n + v
-        if u == v or k in seen:
-            raise _edge_fault(nodes[u], nodes[v])
-        seen.add(k)
+        if u == v and loop is None:
+            loop = e
         out_counts[u] += 1
         in_counts[v] += 1
-    del seen
     out_offsets = [0] * (n + 1)
     in_offsets = [0] * (n + 1)
     for i in range(n):
@@ -1177,6 +1245,9 @@ def _csr_from_buffers_python(n: int, m: int, us, vs, nodes):
         u = us[e]
         out_targets[fill[u]] = vs[e]
         fill[u] += 1
+    fault = _first_repeat(n, m, us, out_offsets, out_targets, loop)
+    if fault is not None:
+        raise _edge_fault(nodes[us[fault]], nodes[vs[fault]])
     # Reverse CSR: walk the forward CSR in ascending u, appending to each
     # target's slot — parents come out ascending by id, exactly like
     # ``CompiledGraph.__init__``'s pred pass.
@@ -1188,6 +1259,40 @@ def _csr_from_buffers_python(n: int, m: int, us, vs, nodes):
             in_sources[fill[v]] = u
             fill[v] += 1
     return out_offsets, out_targets, in_offsets, in_sources
+
+
+def _first_repeat(n: int, m: int, us, out_offsets, out_targets, stop):
+    """The input position of the first repeated edge before ``stop``
+    (all of them when None), or ``stop``.
+
+    Each node's targets sit in input order in the forward CSR, so its
+    first repeat is the first target already among its earlier ones;
+    a replay of ``us`` then maps those per-node positions back to input
+    positions, stopping at the first.
+    """
+    repeat_at: dict[int, int] = {}
+    for u in range(n):
+        start, end = out_offsets[u], out_offsets[u + 1]
+        if end - start < 2:
+            continue
+        targets = out_targets[start:end]
+        if len(set(targets)) == end - start:
+            continue
+        seen = set()
+        for k, v in enumerate(targets):
+            if v in seen:
+                repeat_at[u] = k
+                break
+            seen.add(v)
+    if not repeat_at:
+        return stop
+    count = [0] * n
+    for e in range(m if stop is None else stop):
+        u = us[e]
+        if count[u] == repeat_at.get(u):
+            return e
+        count[u] += 1
+    return stop
 
 
 def _interned_adjacency(us, vs, nodes: list) -> tuple:
@@ -1222,7 +1327,7 @@ def _interned_adjacency(us, vs, nodes: list) -> tuple:
             [nodes[i] for i in out_targets],
             [nodes[i] for i in parents],
         )
-    order = np.argsort(np.frombuffer(vs, dtype=np.int32), kind="stable")
+    order = stable_order(np.frombuffer(vs, dtype=np.int32), n)
     parents = np.frombuffer(us, dtype=np.int32)[order]
     levels = levelize_csr(n, out_offsets, out_targets, np.diff(in_offsets))
     if levels is not None:

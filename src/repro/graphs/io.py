@@ -23,11 +23,13 @@ Every reader — :func:`read_edge_list`, :func:`read_edge_list_text` and
 :class:`EdgeListStream` (and through it the scale tier's
 :func:`repro.graphs.largescale.compile_edge_list`) — runs one block
 scanner.  It reads fixed-size binary blocks, each cut after its last
-newline, and marks every line that holds a byte other than an ASCII
-digit, space, tab, CR or LF.  Each run of unmarked ("plain") lines is
-parsed by one NumPy ``loadtxt`` call into a ``(k, 2)`` int64 array;
-every marked line — comments and directives, string ids, ``-5``,
-malformed lines — and every plain run holding an id of 19 or more
+newline, marks every line that holds a byte other than an ASCII
+digit, space, tab, CR or LF, and counts each line's digit runs.  Each
+run of unmarked ("plain") lines whose every line is blank or holds
+exactly two ids is parsed by one NumPy ``fromstring`` call into a
+``(k, 2)`` int64 array; every marked line — comments and directives,
+string ids, ``-5``, malformed lines — every plain run with a line of
+one or three ids, and every plain run holding an id of 19 or more
 digits goes through the one per-line parser.  Both give the
 same nodes, edges, directives and errors, and without NumPy every line
 takes the per-line parser.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r``
@@ -81,7 +83,7 @@ _DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
 
 #: 19 digits, the fewest that can pass int64's maximum.  Some NumPy
 #: releases read such an id through a double (with only a warning)
-#: instead of raising, so a run holding one never reaches ``loadtxt``.
+#: instead of raising, so a run holding one never reaches NumPy's parse.
 _LONG_ID = b"0" * 19
 
 try:  # bulk parse of plain lines; every reader works without it.
@@ -296,7 +298,11 @@ class _Scan:
         record.set("blocks", self.blocks)
 
     def _classified(self, block: bytes, lineno: int):
-        """Split ``block`` into runs of plain and marked lines."""
+        """Split ``block`` into runs of plain and marked lines.
+
+        Each line's digit runs are counted here too, from the same line
+        bounds: in a plain line every byte from ``0`` up is a digit.
+        """
         np = _np
         data = np.frombuffer(block, dtype=np.uint8)
         bounds = np.flatnonzero(data == 10) + 1
@@ -304,42 +310,50 @@ class _Scan:
             bounds = np.append(bounds, len(block))
         bounds = np.concatenate(([0], bounds))
         marked = np.logical_or.reduceat(_MARKED[data], bounds[:-1])
+        digit = data >= 48
+        run_starts = np.empty_like(digit)
+        run_starts[:1] = digit[:1]
+        np.greater(digit[1:], digit[:-1], out=run_starts[1:])
+        runs = np.add.reduceat(run_starts, bounds[:-1], dtype=np.intp)
+        del digit, run_starts
         cuts = [0, *(np.flatnonzero(marked[1:] != marked[:-1]) + 1).tolist()]
         cuts.append(len(marked))
         plain = not marked[0]
         for first, stop in zip(cuts, cuts[1:]):
             chunk = block[int(bounds[first]):int(bounds[stop])]
             if plain:
-                yield from self._bulk(chunk, lineno + first)
+                yield from self._bulk(chunk, lineno + first, runs[first:stop])
             else:
                 yield from self._per_line(chunk, lineno + first)
             plain = not plain
         return lineno + len(marked)
 
-    def _bulk(self, chunk: bytes, lineno: int):
-        """Parse a run of plain lines with one ``loadtxt``.
+    def _bulk(self, chunk: bytes, lineno: int, runs):
+        """Parse a run of plain lines with one ``np.fromstring``.
 
-        The run goes to the per-line parser instead when it holds an id
-        of 19 or more digits (which may pass int64), when ``loadtxt``
-        raises (a line of the wrong width) or when it reads other than
-        two columns.  ``bulk_lines`` counts the edges ``loadtxt`` read;
-        blank lines among them count in neither path.
+        ``runs`` holds each line's count of digit runs.  Only a run
+        whose every line is blank or holds exactly two ids is parsed,
+        and only when it holds no id of 19 or more digits (which may
+        pass int64): all of it in one call, read as whitespace-separated
+        int64 values.  Any other run, or one that yields other than two
+        values per edge, goes to the per-line parser, which gives its
+        error.  ``bulk_lines`` counts the edges parsed here; blank lines
+        among them count in neither path.
         """
-        if not chunk.strip():  # a run of blank lines holds no edges
-            return
         np = _np
+        edges = int(np.count_nonzero(runs == 2))
+        paired = edges + int(np.count_nonzero(runs == 0)) == len(runs)
+        if paired and not edges:  # a run of blank lines holds no edges
+            return
         pairs = None
-        if _LONG_ID not in chunk.translate(_DIGITS_TO_ZERO):
-            try:
-                pairs = np.loadtxt(
-                    BytesIO(chunk), dtype=np.int64, ndmin=2, comments=None
-                )
-            except ValueError:
-                pass
-        if pairs is None or pairs.shape[1] != 2:
+        if paired and _LONG_ID not in chunk.translate(_DIGITS_TO_ZERO):
+            values = np.fromstring(chunk, dtype=np.int64, sep=" ")
+            if len(values) == 2 * edges:
+                pairs = values.reshape(edges, 2)
+        if pairs is None:
             yield from self._per_line(chunk, lineno)
             return
-        self.bulk_lines += len(pairs)
+        self.bulk_lines += edges
         yield pairs
 
     def _per_line(self, chunk: bytes, lineno: int):

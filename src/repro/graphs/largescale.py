@@ -11,8 +11,8 @@ graph layer past that in three pieces:
   interned to ``int32`` on the fly (or taken as-is via ``num_nodes``,
   the identity fast path the generators use), edges accumulate in two
   flat ``array('i')`` buffers, and the CSR is built by NumPy stable
-  sorts (a pure-python counting build mirrors it bit-for-bit without
-  NumPy).  No python edge list ever exists.
+  radix sorts (a pure-python counting build mirrors it bit-for-bit
+  without NumPy).  No python edge list ever exists.
 * :func:`scale_dag` / :func:`scale_dag_edges` — a seeded SNAP-style
   layered-DAG generator whose edge stream is a pure function of
   ``(scale, seed)``: ``scale=1.0`` is ``n = 10^5``, ``scale=10.0`` is
@@ -344,11 +344,11 @@ def compile_edge_list(
 
     The file runs through the io module's block scanner
     (:class:`~repro.graphs.io.EdgeListStream`): runs of plain ``u v``
-    lines arrive as int64 arrays and intern in bulk (one ``np.unique``
-    for all of them); only per-line edges (string ids, ``-5``, ...)
-    intern edge by edge, one block's segment at a time as it arrives,
-    and the two merge in first-seen order, so the tables match
-    ``read_edge_list(path).compiled()``.
+    lines arrive as int64 arrays and intern in bulk (one radix
+    unique-by-sort for all of them); only per-line edges (string ids,
+    ``-5``, ...) intern edge by edge, one block's segment at a time as
+    it arrives, and the two merge in first-seen order, so the tables
+    match ``read_edge_list(path).compiled()``.
     The scanner honors every header directive: ``# sources:`` pins the
     source set (unless ``sources`` overrides it) and ``# isolated:``
     restores edge-free nodes — without the intermediate
@@ -462,7 +462,9 @@ def _write_array(path: Path, values, typecode: str) -> int:
         with open(path, "wb") as handle:
             handle.write(arr.tobytes())
         return int(arr.shape[0])
-    arr = array(typecode, (int(x) for x in values))
+    if not isinstance(values, (list, tuple)):
+        values = (int(x) for x in values)
+    arr = array(typecode, values)
     with open(path, "wb") as handle:
         handle.write(arr.tobytes())
     return len(arr)
@@ -559,9 +561,23 @@ def load_compiled(path: str | Path) -> StreamedGraph:
     the open is O(1) in the graph size, pages fault in on demand, and
     :meth:`~repro.graphs.compiled.CompiledGraph.nbytes_split` charges
     the tables to the ``"mapped"`` pool.  Without NumPy the arrays load
-    resident (``array.array``) — correct, just not lazy.
+    resident (``array.array``) — correct, just not lazy.  The load runs
+    in a ``graphs.ingest`` span with ``format="fpc"``, ``n``, ``edges``
+    and ``mapped_bytes``.
     """
-    source = Path(path)
+    from repro.obs.trace import span
+
+    with span("graphs.ingest", format="fpc") as record:
+        graph = _load_fpc(Path(path))
+        compiled = graph.compiled()
+        record.set("n", compiled.n)
+        record.set("edges", compiled.m)
+        record.set("mapped_bytes", compiled.mapped_nbytes())
+    return graph
+
+
+def _load_fpc(source: Path) -> StreamedGraph:
+    """The body of :func:`load_compiled`."""
     meta_path = source / "meta.json"
     try:
         with open(meta_path, "r", encoding="utf-8") as handle:

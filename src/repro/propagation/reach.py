@@ -61,7 +61,11 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any
 
 from repro.exceptions import ParameterError, ReproError
-from repro.graphs.compiled import DEFAULT_REACH_BLOCK, blocked_reach_counts
+from repro.graphs.compiled import (
+    DEFAULT_REACH_BLOCK,
+    blocked_reach_counts,
+    stable_order,
+)
 from repro.scoping import ScopedDefault
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -274,7 +278,7 @@ def _swept_sources(np, tables: tuple, source_ids) -> tuple:
     np.minimum.at(first, in_sources, np.repeat(depth, np.diff(in_offsets)))
     src = _as_int64(np, source_ids)
     src = src[first[src] < levels]
-    src = src[np.argsort(first[src], kind="stable")]
+    src = src[stable_order(first[src], levels)]
     return src, first[src]
 
 
@@ -293,10 +297,13 @@ def _row_layout(np, tables: tuple):
     indeg = in_offsets[1:] - in_offsets[:-1]
     # ⌈log2 d⌉ is the bit length of d − 1: frexp's exponent, 0 for d ≤ 1.
     klass = np.frexp(np.maximum(indeg - 1, 0).astype(np.float64))[1]
-    level = np.repeat(
-        np.arange(level_offsets.size - 1), np.diff(level_offsets)
-    )
-    node_of_row = topo[np.lexsort((klass[topo], level))]
+    levels = level_offsets.size - 1
+    level = np.repeat(np.arange(levels), np.diff(level_offsets))
+    # (level, class) as one integer key; the stable sort keeps id order.
+    classes = int(klass.max(initial=0)) + 1
+    node_of_row = topo[
+        stable_order(level * classes + klass[topo], levels * classes)
+    ]
     row_of = np.empty(n + 1, dtype=np.intp)
     row_of[node_of_row] = np.arange(n)
     row_of[n] = n

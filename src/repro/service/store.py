@@ -33,7 +33,13 @@ from repro.core.objective import max_objective, phi
 from repro.datasets.registry import DATASET_NAMES, get_dataset
 from repro.exceptions import ParameterError, ReproError
 from repro.graphs.cgraph import CGraph
+from repro.graphs.compiled import stable_order
 from repro.graphs.io import read_edge_list_text
+
+try:  # the digest's edge sort; the digest is the same without NumPy.
+    import numpy as _np
+except Exception:  # pragma: no cover - exercised by the no-numpy CI job
+    _np = None
 
 Node = Hashable
 
@@ -61,25 +67,56 @@ def graph_digest(
     relay behaviour is a different resident graph.  ``None`` and unit
     probabilities hash identically to the probability-free form, so
     every pre-existing digest is unchanged.
+
+    The lines come from the compiled tables: the node reprs are sorted
+    once, equal reprs sharing a rank, and the edges are ordered by the
+    integer key ``(rank[u], rank[v])``, which orders them as their repr
+    pairs.  Each section is hashed in one ``update``.
     """
+    compiled = graph.compiled()
+    reprs = [repr(node) for node in compiled.nodes]
+    by_repr = sorted(range(compiled.n), key=reprs.__getitem__)
+    distinct: list[str] = []
+    rank = [0] * compiled.n
+    for i in by_repr:
+        if not distinct or distinct[-1] != reprs[i]:
+            distinct.append(reprs[i])
+        rank[i] = len(distinct) - 1
     h = hashlib.sha256()
-    for node in sorted(map(repr, graph.nodes())):
-        h.update(b"n ")
-        h.update(node.encode("utf-8"))
-        h.update(b"\n")
-    for u, v in sorted((repr(u), repr(v)) for u, v in graph.edges()):
-        h.update(b"e ")
-        h.update(u.encode("utf-8"))
-        h.update(b" ")
-        h.update(v.encode("utf-8"))
-        h.update(b"\n")
-    for source in sorted(map(repr, graph.sources)):
-        h.update(b"s ")
-        h.update(source.encode("utf-8"))
-        h.update(b"\n")
-    for line in _probability_lines(probabilities):
-        h.update(line.encode("utf-8"))
+    h.update("".join([f"n {reprs[i]}\n" for i in by_repr]).encode("utf-8"))
+    heads = [f"e {r} " for r in distinct]
+    tails = [f"{r}\n" for r in distinct]
+    edges = "".join(_edge_lines(compiled, rank, heads, tails))
+    h.update(edges.encode("utf-8"))
+    sources = sorted(rank[s] for s in compiled.source_ids)
+    h.update("".join([f"s {distinct[r]}\n" for r in sources]).encode("utf-8"))
+    h.update("".join(_probability_lines(probabilities)).encode("utf-8"))
     return h.hexdigest()
+
+
+def _edge_lines(compiled, rank: list[int], heads: list, tails: list) -> list:
+    """The digest's edge lines as ``head, tail`` string pieces, ordered by
+    ``(rank[u], rank[v])``: one :func:`stable_order` over the integer
+    keys with NumPy, ``sorted`` without it."""
+    size = len(heads)
+    offsets, targets = compiled.out_offsets, compiled.out_targets
+    if _np is None:
+        keys = sorted(
+            rank[u] * size + rank[v]
+            for u in range(compiled.n)
+            for v in targets[offsets[u]:offsets[u + 1]]
+        )
+        return [heads[k // size] + tails[k % size] for k in keys]
+    np = _np
+    ranks = np.asarray(rank, dtype=np.int64)
+    keys = np.repeat(ranks, np.diff(np.asarray(offsets, dtype=np.int64)))
+    keys *= size
+    keys += ranks[np.asarray(targets, dtype=np.intp)]
+    keys = keys[stable_order(keys, size * size)]
+    pieces = np.empty(2 * len(keys), dtype=object)
+    pieces[0::2] = np.array(heads, dtype=object)[keys // size]
+    pieces[1::2] = np.array(tails, dtype=object)[keys % size]
+    return pieces.tolist()
 
 
 def _probability_lines(probabilities: "float | dict | None") -> list[str]:

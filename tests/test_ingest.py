@@ -1,7 +1,7 @@
 """The edge-list block scanner against the per-line parser.
 
 Every edge-list reader runs one block scanner: runs of plain ``u v``
-lines (ASCII digits and blanks only) parse with one NumPy ``loadtxt``
+lines (ASCII digits and blanks only) parse with one NumPy ``fromstring``
 call each, every other line with the per-line parser.  Without NumPy
 every line takes the per-line parser, which is the reference here: on a
 corpus of edge cases, read as in-memory text, as a plain file and as a
@@ -21,7 +21,6 @@ from __future__ import annotations
 import gzip
 import random
 import re
-from io import BytesIO
 
 import pytest
 
@@ -57,6 +56,17 @@ CORPUS = {
     "only-blank-lines": "\n \n\t\n",
     "no-final-newline": "1 2\n2 3",
     "twenty-digit-id": "12345678901234567890 1\n1 2\n",
+    "eighteen-digit-ids": "123456789012345678 999999999999999999\n1 2\n",
+    "eighteen-digit-leading-zeros": "000000000000000012 3\n3 4\n",
+    "tab-separated": "1\t2\n2\t3\n",
+    "crlf-blank-lines": "1 2\r\n\r\n \t\r\n2 3\r\n",
+    "crlf-no-final-newline": "1 2\r\n2 3",
+    "whitespace-last-line": "1 2\n2 3\n \t ",
+    "one-token-first-line": "7\n1 2\n",
+    "one-token-last-line-no-newline": "1 2\n2 3\n4",
+    "only-one-token-lines": "1\n2\n3\n",
+    "three-token-line-among-blanks": "1 2\n\n4 5 6\n\n7 8\n",
+    "one-and-three-token-lines": "1\n2 3 4\n",
     "int64-max": "9223372036854775807 1\n1 2\n",
     "vertical-tab": "1 2\x0b3 4\n5 6\n",
     "form-feed": "1 2\x0c\n2 3\n",
@@ -201,6 +211,35 @@ def test_corpus_covers_both_parsers():
     assert counter.value(path="per_line") > per_line
 
 
+#: Corpus cases of well-formed plain runs -> the edges NumPy parses.
+PLAIN_RUNS = {
+    "blank-and-whitespace-lines": 2,
+    "crlf": 3,
+    "crlf-blank-lines": 2,
+    "crlf-no-final-newline": 2,
+    "eighteen-digit-ids": 2,
+    "eighteen-digit-leading-zeros": 2,
+    "leading-zeros": 2,
+    "no-final-newline": 2,
+    "tab-separated": 2,
+    "tabs-and-padding": 3,
+    "whitespace-last-line": 2,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_RUNS))
+def test_plain_runs_parse_in_bulk(case):
+    """Tabs, CRLF, leading zeros, 18-digit ids, blank lines and a
+    missing final newline all stay on the bulk parser, so the
+    differential test above compares it with the per-line one."""
+    pytest.importorskip("numpy")
+    counter = ingest_counter()
+    bulk, per_line = counter.value(path="bulk"), counter.value(path="per_line")
+    read_edge_list_text(CORPUS[case])
+    assert counter.value(path="bulk") - bulk == PLAIN_RUNS[case]
+    assert counter.value(path="per_line") == per_line
+
+
 @pytest.mark.parametrize("numpy_handle", ("numpy", "none"))
 def test_self_loop_precedes_a_later_malformed_line(
     numpy_handle, tmp_path, monkeypatch
@@ -242,16 +281,16 @@ def test_meta_directive_per_reader(numpy_handle, tmp_path, monkeypatch):
 def test_long_ids_never_reach_loadtxt(tmp_path, monkeypatch):
     """An id of 19 or more digits takes the per-line parser and stays
     exact even on a NumPy release that reads an id past int64 through a
-    double: the ``loadtxt`` here stands in for one, turning each such id
-    into int64's minimum as the C cast does on x86."""
+    double: the ``fromstring`` here stands in for one, turning each such
+    id into int64's minimum as the C cast does on x86."""
     np = pytest.importorskip("numpy")
-    loadtxt = np.loadtxt
+    fromstring = np.fromstring
 
-    def lossy_loadtxt(fname, **kwargs):
-        data = re.sub(rb"[0-9]{20,}", b"-9223372036854775808", fname.read())
-        return loadtxt(BytesIO(data), **kwargs)
+    def lossy_fromstring(string, **kwargs):
+        data = re.sub(rb"[0-9]{20,}", b"-9223372036854775808", string)
+        return fromstring(data, **kwargs)
 
-    monkeypatch.setattr(graph_io._np, "loadtxt", lossy_loadtxt)
+    monkeypatch.setattr(graph_io._np, "fromstring", lossy_fromstring)
     text = "12345678901234567890 1\n1 2\n22345678901234567890 2\n"
     path = tmp_path / "long.txt"
     path.write_text(text, encoding="utf-8")

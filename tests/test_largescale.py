@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -34,7 +35,9 @@ from repro.graphs.compiled import (
     _csr_from_buffers_numpy,
     _csr_from_buffers_python,
 )
+import repro.graphs.compiled as graph_compiled
 import repro.graphs.io as graph_io
+import repro.graphs.largescale as graph_largescale
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.largescale import (
     StreamedGraph,
@@ -46,6 +49,8 @@ from repro.graphs.largescale import (
     scale_dag_edges,
     scale_dag_size,
 )
+from repro.obs.trace import TRACER
+from repro.service.store import GraphStore
 
 try:
     import numpy  # noqa: F401
@@ -290,6 +295,22 @@ def test_compile_edge_list_reads_trailing_directives(tmp_path):
     assert "lone" in streamed and 7 in streamed
 
 
+def string_id_file(tmp_path):
+    """20,000 distinct edges between 2,000 string ids, in key order."""
+    rng = random.Random(5)
+    edges = set()
+    while len(edges) < 20_000:
+        u, v = rng.randrange(2_000), rng.randrange(2_000)
+        if u != v:
+            edges.add((u, v))
+    path = tmp_path / "strings.txt"
+    path.write_text(
+        "".join(f"node{u} node{v}\n" for u, v in sorted(edges)),
+        encoding="utf-8",
+    )
+    return path
+
+
 @pytest.mark.skipif(
     not HAVE_NUMPY, reason="the pure-python CSR build's own peak hides it"
 )
@@ -304,18 +325,8 @@ def test_string_ids_intern_one_segment_at_a_time(
     # adds ~170 B per edge (a tuple and two str objects) to a traced
     # peak of ~60 B per edge for compile_edge_list and ~90 B for
     # read_edge_list, whose CGraph is part of it.
-    rng = random.Random(5)
-    m, n = 20_000, 2_000
-    edges = set()
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.add((u, v))
-    path = tmp_path / "strings.txt"
-    path.write_text(
-        "".join(f"node{u} node{v}\n" for u, v in sorted(edges)),
-        encoding="utf-8",
-    )
+    m = 20_000
+    path = string_id_file(tmp_path)
     monkeypatch.setattr(graph_io, "_BLOCK_BYTES", 4096)
     reader(path)  # imports and caches stay out of the traced peak
     tracemalloc.start()
@@ -326,6 +337,100 @@ def test_string_ids_intern_one_segment_at_a_time(
         tracemalloc.stop()
     assert graph.number_of_edges() == m
     assert peak < bytes_per_edge * m
+
+
+def test_python_csr_build_holds_no_edge_set(tmp_path, monkeypatch):
+    # Without NumPy the counting CSR build finds repeats one node's
+    # targets at a time; a set of one int per edge, as it once held,
+    # peaked at ~184 B per edge here (measured: ~43 B without it).
+    for module in (graph_io, graph_compiled, graph_largescale):
+        monkeypatch.setattr(module, "_np", None)
+    path = string_id_file(tmp_path)
+    monkeypatch.setattr(graph_io, "_BLOCK_BYTES", 4096)
+    compile_edge_list(path)
+    tracemalloc.start()
+    try:
+        graph = compile_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.number_of_edges() == 20_000
+    assert peak < 120 * 20_000
+
+
+def per_element_views(compiled) -> tuple:
+    """``succ_ids`` and ``pred_ids`` built with one ``int()`` per element."""
+    def split(offsets, table):
+        return tuple(
+            tuple(int(x) for x in table[offsets[i]:offsets[i + 1]])
+            for i in range(compiled.n)
+        )
+
+    return (
+        split(compiled.out_offsets, compiled.out_targets),
+        split(compiled.in_offsets, compiled.in_sources),
+    )
+
+
+def fpc_bytes_per_element(compiled, target) -> dict:
+    """Each ``.fpc`` table as written with one ``int()`` per element."""
+    meta = json.loads((target / "meta.json").read_text())
+    codes = {"int32": "i", "int64": "q"}
+    tables = {}
+    for name, spec in meta["arrays"].items():
+        if name == "reach_counts":
+            values = compiled._reach_counts
+        else:
+            values = getattr(compiled, name)
+        tables[name] = array(
+            codes[spec["dtype"]], (int(x) for x in values)
+        ).tobytes()
+    return tables
+
+
+@pytest.mark.parametrize("numpy_handle", ("numpy", "none"))
+def test_views_and_fpc_bytes_match_per_element_build(
+    numpy_handle, tmp_path, monkeypatch
+):
+    """The views slice list, ``array`` and NumPy tables alike, and the
+    ``.fpc`` writer copies list tables whole: both give what an
+    ``int()`` per element gives."""
+    if numpy_handle == "none":
+        for module in (graph_io, graph_compiled, graph_largescale):
+            monkeypatch.setattr(module, "_np", None)
+    path = tmp_path / "g.txt"
+    path.write_text(
+        "# sources: a 1\n"
+        + "".join(f"{u} {v}\n" for u, v in scale_dag_edges(0.003, 2))
+        + "a 1\nb 300\n1 b\n",
+        encoding="utf-8",
+    )
+    graphs = {
+        "read": read_edge_list(path),
+        "compile": compile_edge_list(path),
+        "code": CGraph(EDGES, nodes=["z"]),
+        "identity": scale_dag(0.002, seed=1),
+    }
+    graphs["fpc"] = load_compiled(
+        save_compiled(graphs["compile"], tmp_path / "c.fpc")
+    )
+    for name, graph in graphs.items():
+        compiled = graph.compiled()
+        want = per_element_views(compiled)
+        got = (compiled.succ_ids, compiled.pred_ids)
+        assert got == want, name
+        for view in got:
+            assert type(view) is tuple
+            assert all(type(row) is tuple for row in view)
+            assert all(type(x) is int for row in view for x in row), name
+        compiled.reach_counts()
+        target = save_compiled(graph, tmp_path / f"{name}.fpc")
+        want_bytes = fpc_bytes_per_element(compiled, target)
+        assert "reach_counts" in want_bytes
+        for table, data in want_bytes.items():
+            assert (target / f"{table}.bin").read_bytes() == data, (
+                name, table,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -364,6 +469,37 @@ def test_fpc_loads_memory_mapped(tmp_path):
     assert split["mapped"] > 0
     # Cached reach counts materialize resident; CSR tables stay mapped.
     assert split["resident"] > 0
+
+
+def traced(call):
+    """``call()`` under tracing, with the root spans it recorded."""
+    TRACER.enable()
+    try:
+        with TRACER.trace(trace_id="t-fpc") as trace:
+            result = call()
+    finally:
+        TRACER.disable()
+        TRACER.clear()
+    return result, trace.roots
+
+
+def test_fpc_load_opens_an_ingest_span(tmp_path):
+    _, target = fpc_fixture(tmp_path)
+    loaded, (record,) = traced(lambda: load_compiled(target))
+    compiled = loaded.compiled()
+    assert record.name == "graphs.ingest"
+    assert record.attrs == {
+        "format": "fpc",
+        "n": compiled.n,
+        "edges": compiled.m,
+        "mapped_bytes": compiled.mapped_nbytes(),
+    }
+    assert (record.attrs["mapped_bytes"] > 0) == HAVE_NUMPY
+    # A service registration of the directory records the same span.
+    store = GraphStore(warm_backends=False)
+    _, roots = traced(lambda: store.register_fpc(target))
+    assert [r.name for r in roots] == ["graphs.ingest"]
+    assert roots[0].attrs["format"] == "fpc"
 
 
 def test_fpc_preserves_string_nodes(tmp_path):
