@@ -97,6 +97,38 @@ def _scenario_model(scenario: BenchScenario):
     )
 
 
+def _timed_build(graph: CGraph) -> tuple[CGraph, float]:
+    """A rebuild of ``graph`` and the seconds its construction took.
+
+    A :class:`CGraph` compiles as it is constructed, so that time is the
+    plan build; the edge, node and source lists it is built from are
+    made untimed.
+    """
+    edges = list(graph.edges())
+    nodes = graph.nodes()
+    sources = graph.sources
+    start = time.perf_counter()
+    fresh = CGraph(edges, nodes=nodes, sources=sources)
+    return fresh, time.perf_counter() - start
+
+
+def _load_timed(
+    scenario: BenchScenario,
+) -> tuple["CGraph | StreamedGraph", float]:
+    """The cell's graph and the seconds its compile took.
+
+    Every graph compiles as it is built.  A streamed graph's load is
+    that build; a generated :class:`CGraph`'s load also runs the
+    generator, so one rebuild (:func:`_timed_build`) times the build
+    alone.
+    """
+    start = time.perf_counter()
+    graph = _load_graph(scenario)
+    if scenario.streamed:
+        return graph, time.perf_counter() - start
+    return graph, _timed_build(graph)[1]
+
+
 def run_compile_scenario(
     scenario: BenchScenario,
     *,
@@ -105,10 +137,9 @@ def run_compile_scenario(
 ) -> BenchRecord:
     """Measure one ``compile`` cell: plan build time + compiled bytes.
 
-    Each repeat rebuilds the :class:`CGraph` from its edge/node/source
-    data *outside* the timed region (the compiled view is cached on the
-    immutable graph, so a fresh instance is the only way to time a cold
-    build) and times exactly one ``graph.compiled()`` call.
+    Each repeat times one rebuild of the graph (:func:`_timed_build`):
+    a :class:`CGraph` compiles at construction, so the build *is* the
+    plan build.
 
     Streamed cells time the whole ingestion instead — generation,
     interning and CSR assembly are one fused pass with no edge list to
@@ -155,24 +186,19 @@ def run_compile_scenario(
         )
     if graph is None:
         graph = _load_graph(scenario)
-    edges = list(graph.edges())
-    nodes = graph.nodes()
-    sources = graph.sources
 
     best = float("inf")
     total = 0.0
-    compiled = None
+    fresh = None
     for _ in range(repeats):
-        fresh = CGraph(edges, nodes=nodes, sources=sources)
-        start = time.perf_counter()
-        compiled = fresh.compiled()
-        elapsed = time.perf_counter() - start
+        fresh, elapsed = _timed_build(graph)
         total += elapsed
         best = min(best, elapsed)
-    assert compiled is not None  # repeats >= 1
+    assert fresh is not None  # repeats >= 1
+    compiled = fresh.compiled()
 
-    # The graph rebuilds between repeats are deliberately untimed, so
-    # the cell's wall-clock is the sum of the timed builds only.
+    # The edge, node and source lists are made untimed, so the cell's
+    # wall-clock is the sum of the timed builds only.
     phases = {"plan": best}
     if repeats > 1:
         phases["repeat_overhead"] = total - best
@@ -207,9 +233,9 @@ def run_scenario(
     ``graph`` — backend-independent, so :func:`run_suite` computes it once
     per graph instead of twice per cell.  ``compile_seconds`` is the
     graph's measured one-time compile cost (again per graph, from
-    :func:`run_suite`); standalone calls measure it inline.  Either way
-    the plan work lands in the record's ``plan_seconds``, never in
-    ``seconds``.
+    :func:`run_suite`); a call that loads its own graph measures it as
+    :func:`run_suite` does.  Either way the plan work lands in the
+    record's ``plan_seconds``, never in ``seconds``.
     """
     if repeats <= 0:
         raise ParameterError("repeats must be positive")
@@ -227,7 +253,7 @@ def run_scenario(
             compile_seconds=compile_seconds,
         )
     if graph is None:
-        graph = _load_graph(scenario)
+        graph, compile_seconds = _load_timed(scenario)
     backend = _scenario_backend(scenario)
     model = _scenario_model(scenario)
     if scenario.workers:
@@ -240,8 +266,8 @@ def run_scenario(
         workers_scope = nullcontext()
     # Plan work happens outside the timed region — the shared compiled
     # view plus the backend's adapter over it — and is *measured* so
-    # BENCH.json reports the split instead of hiding the cost.  On a
-    # pre-compiled graph (the run_suite path) the first term is ~0 and
+    # BENCH.json reports the split instead of hiding the cost.  A graph
+    # is compiled at construction, so the first term is ~0 and
     # ``compile_seconds`` carries the real number.  For probabilistic
     # cells one untimed evaluation additionally samples the worlds and
     # builds the backend's live-mask adapters — the model's one-time
@@ -394,17 +420,10 @@ def run_suite(
     for scenario in scenarios:
         gkey = scenario.graph_key()
         if gkey not in graphs:
-            graph = _load_graph(scenario)
+            # Timed once per graph, so every cell of it can report the
+            # plan cost it amortizes.
+            graph, compile_seconds[gkey] = _load_timed(scenario)
             graphs[gkey] = graph
-            # Time the one-shot compile immediately after generation —
-            # before any Φ constant or warm call builds it as a side
-            # effect — so every cell of this graph can report the true
-            # plan cost it amortizes.  No is_dag() pre-check: compiling
-            # handles cyclic graphs, and the legacy dict-path check
-            # would pollute the measurement with non-plan work.
-            start = time.perf_counter()
-            graph.compiled()
-            compile_seconds[gkey] = time.perf_counter() - start
         graph = graphs[gkey]
         if (
             gkey not in constants

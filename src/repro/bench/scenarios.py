@@ -671,9 +671,9 @@ def compile_suite(
 ) -> list[BenchScenario]:
     """The compile-once micro axis: plan build time + bytes per dataset.
 
-    Each cell rebuilds the graph fresh and times only
-    ``CGraph.compiled()`` — the one-time cost that the solve suites pay
-    outside their timed regions — and records the compiled tables'
+    Each cell times one rebuild of the graph — a ``CGraph`` compiles at
+    construction, the one-time cost that the solve suites pay outside
+    their timed regions — and records the compiled tables'
     memory via ``evaluations["compiled_bytes"]``.  ``backends`` is
     accepted for signature uniformity but ignored: the compiled plan is
     backend-independent by construction.

@@ -52,7 +52,7 @@ def run_service_scenario(
     is carried into the record's ``plan_seconds`` — registration warms
     exactly that one shared plan.
     """
-    from repro.bench.harness import _load_graph
+    from repro.bench.harness import _load_timed
     from repro.service.app import ServiceApp
     from repro.service.cache import PlacementCache
 
@@ -63,7 +63,7 @@ def run_service_scenario(
             f"not a service scenario mode: {scenario.mode!r}"
         )
     if graph is None:
-        graph = _load_graph(scenario)
+        graph, compile_seconds = _load_timed(scenario)
 
     app = ServiceApp(workers=1)
     try:

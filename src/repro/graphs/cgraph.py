@@ -92,57 +92,10 @@ class CGraph:
         nodes: Iterable[Node] = (),
         sources: Iterable[Node] | None = None,
     ) -> None:
-        succ: dict[Node, list[Node]] = {}
-        pred: dict[Node, list[Node]] = {}
-        seen: set[Edge] = set()
+        from repro.graphs.compiled import _intern_edges
 
-        def ensure(node: Node) -> None:
-            if node not in succ:
-                succ[node] = []
-                pred[node] = []
-
-        for u, v in edges:
-            if u == v:
-                raise GraphStructureError(
-                    f"self-loop {u!r} -> {v!r} is not allowed in a c-graph"
-                )
-            if (u, v) in seen:
-                raise GraphStructureError(f"duplicate edge {u!r} -> {v!r}")
-            seen.add((u, v))
-            ensure(u)
-            ensure(v)
-            succ[u].append(v)
-            pred[v].append(u)
-
-        for node in nodes:
-            ensure(node)
-
-        self._succ: dict[Node, tuple[Node, ...]] = {
-            u: tuple(vs) for u, vs in succ.items()
-        }
-        self._pred: dict[Node, tuple[Node, ...]] = {
-            v: tuple(us) for v, us in pred.items()
-        }
-        self._nodes: tuple[Node, ...] = tuple(self._succ)
-        self._num_edges = len(seen)
-
-        if sources is None:
-            source_set = frozenset(
-                node for node in self._nodes if not self._pred[node]
-            )
-        else:
-            source_set = frozenset(sources)
-            for s in source_set:
-                if s not in self._succ:
-                    raise MissingNodeError(s)
-        self._sources: frozenset[Node] = source_set
-        # Whether the source set was *given* (vs defaulted to in-degree-0
-        # nodes).  Derived-graph constructors preserve explicit sources but
-        # re-default defaulted ones, so edge edits can promote new roots.
-        self._sources_explicit: bool = sources is not None
-        self._topo_cache: tuple[Node, ...] | None = None
-        self._is_dag_cache: bool | None = None
-        self._compiled_cache: "Any | None" = None
+        us, vs, index, node_list = _intern_edges(edges)
+        self._build(us, vs, node_list, index, nodes, sources)
 
     @classmethod
     def _from_interned(
@@ -161,12 +114,28 @@ class CGraph:
         Edge ``e`` runs from ``nodes[us[e]]`` to ``nodes[vs[e]]``;
         ``nodes`` lists the endpoints in first-seen ``(u, v)`` order and
         ``index`` maps each to its id (both grow by the ``isolated``
-        nodes).  The result equals the per-edge build — nodes, successor
-        and predecessor order, sources, and the first fault in edge
-        order with the same message — but both adjacencies come from one
-        CSR build, with no Python loop per edge when NumPy is present,
-        and the compiled tables come with it, so :meth:`compiled` costs
-        nothing.
+        nodes).  The edge-list readers build here from their scanned
+        files, with no ``(u, v)`` tuple per edge.
+        """
+        self = object.__new__(cls)
+        self._build(us, vs, nodes, index, isolated, sources)
+        return self
+
+    def _build(
+        self,
+        us: Sequence[int],
+        vs: Sequence[int],
+        nodes: list[Node],
+        index: dict[Node, int],
+        isolated: Iterable[Node],
+        sources: Iterable[Node] | None,
+    ) -> None:
+        """Fill this graph and its compiled view from interned edges.
+
+        Both adjacencies come from one CSR build, with no Python loop
+        per edge when NumPy is present, and the compiled tables come
+        with them.  The first self-loop or repeated edge in edge order
+        raises, then the first unknown source.
         """
         from repro.graphs.compiled import (
             CompiledGraph,
@@ -177,7 +146,6 @@ class CGraph:
         _add_nodes(index, nodes, isolated)
         tables, levels, children, parents = _interned_adjacency(us, vs, nodes)
         out_offsets, out_targets, in_offsets, in_sources = tables
-        self = object.__new__(cls)
         self._succ = {
             node: tuple(children[out_offsets[i]:out_offsets[i + 1]])
             for i, node in enumerate(nodes)
@@ -209,11 +177,13 @@ class CGraph:
         if sources is None:
             source_set = frozenset(self._nodes[i] for i in compiled.source_ids)
         self._sources = source_set
+        # Whether the source set was *given* (vs defaulted to in-degree-0
+        # nodes).  Derived-graph constructors preserve explicit sources but
+        # re-default defaulted ones, so edge edits can promote new roots.
         self._sources_explicit = sources is not None
         self._topo_cache = None
         self._is_dag_cache = compiled.is_dag
         self._compiled_cache = compiled
-        return self
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -373,19 +343,12 @@ class CGraph:
     def compiled(self) -> "Any":
         """The graph's :class:`~repro.graphs.compiled.CompiledGraph` view.
 
-        Built on first access and cached for the life of the graph (safe
-        because the graph is immutable) — every layer that sweeps this
-        graph shares the one compiled plan.  A graph read from an edge
-        list (:func:`repro.graphs.io.read_edge_list`) comes with its plan
-        already built from the reader's CSR tables.  Derived graphs
-        (:meth:`subgraph`, :meth:`reversed`, :meth:`without_edges`, ...)
-        are new objects and therefore compile fresh; a stale plan can
-        never leak across a structural change.
+        Built with the graph, from the same CSR tables, and shared by
+        every layer that sweeps it (safe because the graph is
+        immutable).  Derived graphs (:meth:`subgraph`, :meth:`reversed`,
+        :meth:`without_edges`, ...) are new objects with their own
+        build; a stale plan can never leak across a structural change.
         """
-        if self._compiled_cache is None:
-            from repro.graphs.compiled import CompiledGraph
-
-            self._compiled_cache = CompiledGraph(self)
         return self._compiled_cache
 
     # ------------------------------------------------------------------

@@ -6,8 +6,9 @@ c-graph, yet historically each layer re-derived its own view of it: the
 exact engine walked dict-of-tuples adjacency, the NumPy backend built a
 private CSR plan, the incremental sessions built their own topo index
 maps, and the service warmed one plan per backend.  :class:`CompiledGraph`
-replaces all of that with **one** frozen, integer-interned view, built in
-a single pass and cached on the immutable :class:`~repro.graphs.cgraph.CGraph`
+replaces all of that with **one** frozen, integer-interned view, built from
+CSR tables (:meth:`CompiledGraph.from_tables`) with every immutable
+:class:`~repro.graphs.cgraph.CGraph` and held by it
 (:meth:`~repro.graphs.cgraph.CGraph.compiled`).
 
 Layout
@@ -39,15 +40,16 @@ sources) are well-defined and cheap — but ``is_dag`` is False and the
 topological accessors raise :class:`~repro.exceptions.CyclicGraphError`,
 mirroring :meth:`CGraph.topological_order`.
 
-The tables are plain lists, tuples and dicts, so the exact python path
-works — and is tested — in environments without NumPy.  The end of the
-module holds the interning and CSR builds that both edge-list readers
-(:func:`repro.graphs.io.read_edge_list` and the scale tier's
-:func:`repro.graphs.largescale.compile_edge_list`) share: NumPy sorts
-when it is importable, a pure-python build with the same results
-otherwise.  Every integer sort of those builds, and of the warm paths
-that read the tables, goes through :func:`stable_order`, a radix sort
-on 16-bit digits.
+A :class:`CGraph`'s tables are plain lists, tuples and dicts, so the
+exact python path works — and is tested — in environments without
+NumPy.  The end of the module holds the interning and CSR builds that
+every :class:`CGraph` (built in code or by
+:func:`repro.graphs.io.read_edge_list`) and the scale tier's streamed
+compilers (:mod:`repro.graphs.largescale`) share: NumPy sorts when it
+is importable, a pure-python build with the same results otherwise.
+Every integer sort of those builds, and of the warm paths that read
+the tables, goes through :func:`stable_order`, a radix sort on 16-bit
+digits.
 """
 
 from __future__ import annotations
@@ -117,10 +119,10 @@ class EdgeProbabilities:
 class CompiledGraph:
     """A frozen, integer-interned view of one :class:`CGraph`.
 
-    Instances are built once per graph by :meth:`CGraph.compiled` and
-    shared by every consumer — the propagation engines, both backends,
-    the incremental gain sessions, the placement algorithms and the
-    service's resident-graph store.  All attributes are set at
+    Instances are built from CSR tables (:meth:`from_tables`), once per
+    graph, and shared by every consumer — the propagation engines, both
+    backends, the incremental gain sessions, the placement algorithms
+    and the service's resident-graph store.  All attributes are set at
     construction and must never be mutated; the arrays are plain lists
     only because CPython indexes them fastest.
     """
@@ -155,108 +157,6 @@ class CompiledGraph:
         "_reach_counts",
     )
 
-    def __init__(self, graph: "CGraph") -> None:
-        nodes = graph.nodes()
-        n = len(nodes)
-        index = {v: i for i, v in enumerate(nodes)}
-
-        succ_ids: tuple[tuple[int, ...], ...] = tuple(
-            tuple(index[c] for c in graph.successors(v)) for v in nodes
-        )
-        pred_lists: list[list[int]] = [[] for _ in range(n)]
-        for u, children in enumerate(succ_ids):
-            for c in children:
-                pred_lists[c].append(u)
-        pred_ids: tuple[tuple[int, ...], ...] = tuple(
-            tuple(ps) for ps in pred_lists
-        )
-        out_degree = [len(s) for s in succ_ids]
-        in_degree = [len(p) for p in pred_ids]
-
-        out_offsets = [0] * (n + 1)
-        for i in range(n):
-            out_offsets[i + 1] = out_offsets[i] + out_degree[i]
-        out_targets = [c for children in succ_ids for c in children]
-        in_offsets = [0] * (n + 1)
-        for i in range(n):
-            in_offsets[i + 1] = in_offsets[i] + in_degree[i]
-        in_sources = [u for parents in pred_ids for u in parents]
-
-        # Weak back-reference only: the graph's _compiled_cache already
-        # holds this object strongly, and a strong .graph would turn that
-        # into a refcount cycle reclaimable only by the cyclic GC —
-        # delaying eviction of large service-resident graphs.
-        self._graph_ref = weakref.ref(graph)
-        self.n = n
-        self.m = len(out_targets)
-        self.nodes = nodes
-        self._index = index
-        self._succ_ids = succ_ids
-        self._pred_ids = pred_ids
-        self._mapped = {}
-        self.out_offsets = out_offsets
-        self.out_targets = out_targets
-        self.in_offsets = in_offsets
-        self.in_sources = in_sources
-        self.out_degree = out_degree
-        self.in_degree = in_degree
-        self._in_pos_of_out = None
-        self._edge_prob_cache = None
-        self._source_mark = None
-        self._reach_counts = None
-        self.source_ids = tuple(sorted(index[s] for s in graph.sources))
-        self.sink_ids = tuple(i for i in range(n) if not out_degree[i])
-        self.merge_ids = tuple(
-            i for i in range(n) if in_degree[i] > 1 and out_degree[i]
-        )
-
-        # Kahn by wavefronts: a node becomes ready in the round equal to
-        # its longest-path distance from any root, so one pass levelizes
-        # and cycle-checks simultaneously.  Levels are sorted by id so the
-        # resulting topological order is deterministic and id-monotone
-        # within a level.
-        indeg = in_degree[:]
-        depth = [0] * n
-        frontier = [i for i in range(n) if not indeg[i]]
-        levels: list[list[int]] = []
-        processed = 0
-        level = 0
-        while frontier:
-            frontier.sort()
-            levels.append(frontier)
-            processed += len(frontier)
-            ready: list[int] = []
-            for v in frontier:
-                depth[v] = level
-                for child in succ_ids[v]:
-                    indeg[child] -= 1
-                    if not indeg[child]:
-                        ready.append(child)
-            frontier = ready
-            level += 1
-
-        self.is_dag = processed == n
-        if self.is_dag:
-            topo_order: list[int] = []
-            level_offsets = [0]
-            for members in levels:
-                topo_order.extend(members)
-                level_offsets.append(len(topo_order))
-            topo_index = [0] * n
-            for pos, v in enumerate(topo_order):
-                topo_index[v] = pos
-            self.num_levels = len(levels)
-            self._topo_order = tuple(topo_order)
-            self._topo_index = topo_index
-            self._depth = depth
-            self._level_offsets = level_offsets
-        else:
-            self.num_levels = 0
-            self._topo_order = None
-            self._topo_index = None
-            self._depth = None
-            self._level_offsets = None
-
     @property
     def graph(self) -> "CGraph | None":
         """The source graph (weakly referenced; None once it is gone)."""
@@ -267,11 +167,9 @@ class CompiledGraph:
     #
     # The dict index and the tuple-of-tuples adjacency are the pure
     # python sweeps' hot representations, but at the scale tier's node
-    # counts they cost hundreds of MB of boxed objects — so table-built
-    # graphs (:meth:`from_tables`) defer them until something actually
-    # walks the python path.  A :class:`CGraph` read from an edge list
-    # is table-built too; one built in code compiles through
-    # ``__init__``, which builds them eagerly.
+    # counts they cost hundreds of MB of boxed objects — so every
+    # compiled graph defers them until something actually walks the
+    # python path.
     # ------------------------------------------------------------------
 
     @property
@@ -296,7 +194,7 @@ class CompiledGraph:
         return self._pred_ids
 
     # ------------------------------------------------------------------
-    # Table-direct construction (the scale tier's entry point)
+    # Construction from CSR tables (the one entry point)
     # ------------------------------------------------------------------
 
     @classmethod
@@ -316,9 +214,9 @@ class CompiledGraph:
     ) -> "CompiledGraph":
         """Build a compiled graph directly from CSR tables.
 
-        The streamed loaders, the ``.fpc`` on-disk format and the
-        edge-list reader's :class:`CGraph` construct graphs here without
-        ever materializing a python edge list.  The tables may be any
+        Every :class:`CGraph`, the streamed loaders and the ``.fpc``
+        on-disk format construct graphs here without ever materializing
+        a python edge list.  The tables may be any
         integer sequences — plain lists, ``array`` arrays, NumPy arrays,
         or ``np.memmap`` views; the python-object views (:attr:`index`,
         :attr:`succ_ids`, :attr:`pred_ids`) materialize lazily.
@@ -334,6 +232,10 @@ class CompiledGraph:
         resident one.
         """
         self = object.__new__(cls)
+        # Weak back-reference only: the graph already holds this object
+        # strongly, and a strong .graph would turn that into a refcount
+        # cycle reclaimable only by the cyclic GC — delaying eviction of
+        # large service-resident graphs.
         self._graph_ref = (
             weakref.ref(graph) if graph is not None else _no_graph
         )
@@ -735,15 +637,14 @@ def _csr_degrees(n: int, out_offsets, in_offsets):
 
 
 def levelize_csr(n: int, out_offsets, out_targets, in_degree):
-    """Kahn-by-wavefronts over CSR arrays: the levelization
-    :class:`CompiledGraph` computes in ``__init__``, for table-built
-    graphs.
+    """Kahn-by-wavefronts over CSR arrays: every compiled graph's
+    levelization.
 
-    Returns ``(topo_order, topo_index, depth, level_offsets)`` with the
-    identical contract — levels sorted ascending by id, ``depth`` the
-    longest-path distance — or None when the graph is cyclic.  Runs a
-    per-level vectorized pass when the tables are NumPy arrays (the
-    streamed loaders' case) and a plain python sweep otherwise.
+    Returns ``(topo_order, topo_index, depth, level_offsets)`` — levels
+    sorted ascending by id, ``depth`` the longest-path distance — or
+    None when the graph is cyclic.  Runs a per-level vectorized pass
+    when the tables are NumPy arrays (every build with NumPy present)
+    and a plain python sweep otherwise.
     """
     if _np is not None and type(out_targets).__module__.startswith("numpy"):
         np = _np
@@ -1174,7 +1075,7 @@ def _csr_from_buffers(n: int, us, vs, nodes):
 def _csr_from_buffers_numpy(n: int, m: int, us, vs, nodes):
     """Forward + reverse CSR by stable sorts (:func:`stable_order`).
 
-    Ordering contract (must match ``CompiledGraph.__init__``): forward
+    Ordering contract (the layout of every compiled graph): forward
     adjacency groups by ``u`` ascending, keeping input edge order
     within a ``u``; reverse adjacency lists each node's parents by
     ascending interned id.  A stable sort on ``u`` gives the first; a
@@ -1184,8 +1085,8 @@ def _csr_from_buffers_numpy(n: int, m: int, us, vs, nodes):
     Together the two sorts order the edges by ``(v, u)`` and keep equal
     edges in input order, side by side: every edge equal to its
     neighbour before it repeats an earlier one.  The first fault in
-    input order — a self-loop or a repeated edge — raises, as it does
-    in ``CGraph``.
+    input order — a self-loop or a repeated edge — raises
+    (:func:`_edge_fault`).
     """
     np = _np
     if m == 0:
@@ -1249,8 +1150,8 @@ def _csr_from_buffers_python(n: int, m: int, us, vs, nodes):
     if fault is not None:
         raise _edge_fault(nodes[us[fault]], nodes[vs[fault]])
     # Reverse CSR: walk the forward CSR in ascending u, appending to each
-    # target's slot — parents come out ascending by id, exactly like
-    # ``CompiledGraph.__init__``'s pred pass.
+    # target's slot — parents come out ascending by id, as they do from
+    # the NumPy build's re-sort on v.
     fill = list(in_offsets[:-1])
     in_sources = array("i", bytes(4 * m))
     for u in range(n):
@@ -1307,25 +1208,34 @@ def _interned_adjacency(us, vs, nodes: list) -> tuple:
     ``in_offsets`` — the order ``CGraph.predecessors`` returns.  Raises
     the first self-loop or repeated edge in edge order.  With NumPy no
     Python loop runs per edge: the levels come from the NumPy tables
-    and the nodes are gathered through an object array.
+    and the nodes are gathered through an object array.  Either way the
+    id tables are gathered through the n ids as Python ints, so they
+    share n int objects instead of holding one per element.
     """
     n = len(nodes)
-    tables = _csr_from_buffers(n, us, vs, nodes)
-    out_offsets, out_targets, in_offsets, in_sources = tables
+    out_offsets, out_targets, in_offsets, in_sources = _csr_from_buffers(
+        n, us, vs, nodes
+    )
     np = _np
     if np is None:
-        fill = list(in_offsets[:-1])
-        parents = [0] * len(us)
+        fill = in_offsets[:-1]
+        parents = [None] * len(us)
         for u, v in zip(us, vs):
-            parents[fill[v]] = u
+            parents[fill[v]] = nodes[u]
             fill[v] += 1
         in_degree = [in_offsets[i + 1] - in_offsets[i] for i in range(n)]
         levels = levelize_csr(n, out_offsets, out_targets, in_degree)
+        ids = list(range(n))
         return (
-            [list(table) for table in tables],
+            [
+                out_offsets,
+                [ids[i] for i in out_targets],
+                in_offsets,
+                [ids[i] for i in in_sources],
+            ],
             levels or False,
             [nodes[i] for i in out_targets],
-            [nodes[i] for i in parents],
+            parents,
         )
     order = stable_order(np.frombuffer(vs, dtype=np.int32), n)
     parents = np.frombuffer(us, dtype=np.int32)[order]
@@ -1338,8 +1248,6 @@ def _interned_adjacency(us, vs, nodes: list) -> tuple:
             depth.tolist(),
             level_offsets,
         )
-    # The id tables are gathered through the n ids as Python ints, so
-    # they share n int objects, as ``CompiledGraph.__init__``'s do.
     ids = np.arange(n, dtype=object)
     objects = np.fromiter(nodes, dtype=object, count=n)
     return (

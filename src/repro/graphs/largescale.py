@@ -453,6 +453,14 @@ def scale_dag(scale: float = 1.0, seed: int = 7) -> StreamedGraph:
 #: Array-name → (dtype tag, element size) of the fpc layout.
 _DTYPE_CODES = {"int32": ("i", 4), "int64": ("q", 8)}
 
+#: The tables every ``.fpc`` holds, and the levelization, which a DAG's
+#: holds whole or not at all.
+_FPC_REQUIRED = (
+    "out_offsets", "out_targets", "in_offsets", "in_sources", "source_ids",
+)
+_FPC_LEVELS = ("topo_order", "topo_index", "depth", "level_offsets")
+_FPC_TABLES = frozenset(_FPC_REQUIRED + _FPC_LEVELS + ("reach_counts",))
+
 
 def _write_array(path: Path, values, typecode: str) -> int:
     """Persist one table as raw native-endian words; returns its length."""
@@ -576,14 +584,20 @@ def load_compiled(path: str | Path) -> StreamedGraph:
     return graph
 
 
-def _load_fpc(source: Path) -> StreamedGraph:
-    """The body of :func:`load_compiled`."""
+def _fpc_meta(source: Path) -> dict:
+    """The ``meta.json`` of a ``.fpc`` directory, checked: a file that
+    does not describe the layout raises :class:`ParameterError` naming
+    it."""
     meta_path = source / "meta.json"
     try:
         with open(meta_path, "r", encoding="utf-8") as handle:
             meta = json.load(handle)
     except FileNotFoundError:
         raise ParameterError(f"{source}: not a .fpc directory") from None
+    except ValueError as exc:
+        raise ParameterError(f"{meta_path}: not JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ParameterError(f"{meta_path}: not a JSON object")
     if meta.get("format") != FPC_FORMAT:
         raise ParameterError(
             f"{source}: unsupported format {meta.get('format')!r} "
@@ -594,15 +608,54 @@ def _load_fpc(source: Path) -> StreamedGraph:
             f"{source}: written on a {meta.get('byteorder')}-endian "
             f"machine, this one is {sys.byteorder}-endian"
         )
-    n = int(meta["n"])
+    for key in ("n", "arrays", "is_dag"):
+        if key not in meta:
+            raise ParameterError(f"{meta_path}: no {key!r} key")
+    if not _is_count(meta["n"]):
+        raise ParameterError(f"{meta_path}: n {meta['n']!r} is not a count")
     arrays = meta["arrays"]
+    if not isinstance(arrays, dict):
+        raise ParameterError(f"{meta_path}: 'arrays' is not an object")
+    for name, spec in arrays.items():
+        if name not in _FPC_TABLES:
+            raise ParameterError(f"{meta_path}: unknown table {name!r}")
+        if not isinstance(spec, dict):
+            raise ParameterError(f"{meta_path}: table {name!r} is not an object")
+        # Compared, not hashed: a JSON list is no dict key.
+        if spec.get("dtype") not in tuple(_DTYPE_CODES):
+            raise ParameterError(
+                f"{meta_path}: table {name!r} has dtype {spec.get('dtype')!r}"
+            )
+        if not _is_count(spec.get("len")):
+            raise ParameterError(
+                f"{meta_path}: table {name!r} has len {spec.get('len')!r}, "
+                "not a count"
+            )
+    required = _FPC_REQUIRED
+    if meta["is_dag"] and "topo_order" in arrays:
+        required += _FPC_LEVELS
+    for name in required:
+        if name not in arrays:
+            raise ParameterError(f"{meta_path}: no {name!r} table")
+    return meta
+
+
+def _is_count(value) -> bool:
+    """Whether a ``meta.json`` value is a non-negative int."""
+    return type(value) is int and value >= 0
+
+
+def _load_fpc(source: Path) -> StreamedGraph:
+    """The body of :func:`load_compiled`."""
+    meta = _fpc_meta(source)
+    n = meta["n"]
     loaded: dict[str, object] = {}
     mapped: dict[str, int] = {}
-    for name, spec in arrays.items():
+    for name, spec in meta["arrays"].items():
         file_path = source / f"{name}.bin"
         dtype = spec["dtype"]
         typecode, width = _DTYPE_CODES[dtype]
-        expected = int(spec["len"]) * width
+        expected = spec["len"] * width
         actual = file_path.stat().st_size
         if actual != expected:
             raise ParameterError(

@@ -12,8 +12,8 @@ serial loop produces.  That is the determinism contract
 
 Sharding protocol
 -----------------
-Workers cannot share the parent's graph (compiled views hold weakrefs
-and are deliberately unpicklable), so each shard ships a *picklable
+Workers cannot share the parent's graph (it holds its compiled view,
+whose weakref does not pickle), so each shard ships a *picklable
 spec* — ``(edges, nodes, sources)`` — and the worker rebuilds and
 caches the graph per process.  Worlds are then **re-sampled in full**
 inside the worker (one seeded pure-Python pass — cheap next to the
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import atexit
 import threading
+from array import array
 from collections import OrderedDict
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -148,22 +149,25 @@ _MAX_WORKER_GRAPHS = 4
 
 def _rebuild_graph(spec: tuple) -> "CGraph":
     from repro.graphs.cgraph import CGraph
+    from repro.graphs.compiled import _intern_edges
 
     cached = _worker_graphs.get(spec)
     if cached is not None:
         _worker_graphs.move_to_end(spec)
         return cached
     edges, nodes, sources = spec
-    graph = CGraph(edges, nodes=nodes, sources=sources)
-    if graph.nodes() != tuple(nodes):
-        # CGraph interns nodes in edge-endpoint first-appearance order,
-        # which need not survive a round-trip through ``edges()``.  Node
-        # order drives ``edges()`` iteration and therefore the world
-        # sampler's RNG consumption — the determinism anchor of the
-        # whole sharding contract — so restore the parent's order
-        # verbatim before any derived state (topo order, compiled view,
-        # sampled worlds) is built off it.
-        graph._nodes = tuple(nodes)
+    # CGraph interns nodes in edge-endpoint first-appearance order,
+    # which need not survive a round-trip through ``edges()``.  Node
+    # order drives ``edges()`` iteration and therefore the world
+    # sampler's RNG consumption — the determinism anchor of the whole
+    # sharding contract — so the edges intern against the parent's
+    # node order.
+    node_list = list(nodes)
+    index = dict(zip(node_list, range(len(node_list))))
+    us, vs, _, _ = _intern_edges(
+        edges, (array("i"), array("i"), index, node_list)
+    )
+    graph = CGraph._from_interned(us, vs, node_list, index, sources=sources)
     _worker_graphs[spec] = graph
     while len(_worker_graphs) > _MAX_WORKER_GRAPHS:
         _worker_graphs.popitem(last=False)

@@ -351,11 +351,7 @@ class ServiceApp:
         entry = self._get_entry(digest)
         payload = stats_payload(entry.name, entry.stats())
         payload["digest"] = entry.digest
-        compiled = getattr(entry.graph, "_compiled_cache", None) or getattr(
-            entry.graph, "_compiled", None
-        )
-        if compiled is not None:
-            payload["compiled_bytes"] = compiled.nbytes_split()
+        payload["compiled_bytes"] = entry.graph.compiled().nbytes_split()
         return 200, payload
 
     def _get_entry(self, digest: str):

@@ -268,8 +268,8 @@ class GraphStore:
         wrong answer — a re-registration restores the same digest and the
         cached placements still apply.
     warm_backends:
-        At registration, build the graph's single shared compiled plan
-        and each available backend's thin adapter over it (skipped
+        At registration, warm each available backend's thin adapter
+        over the graph's single shared compiled plan (skipped
         automatically for cyclic graphs, whose topological accessors
         the consumers reject).  Since the compile-once refactor the
         structure itself exists exactly once; what each backend warms
@@ -584,9 +584,9 @@ class GraphStore:
         registration can never produce a torn read (e.g. the new entry
         counted in ``graphs`` but not yet in ``nodes``) — ``/healthz``
         and ``/metrics`` both report from this.  ``compiled_bytes`` sums
-        the *resident* half of the compiled plans that exist
-        (registration warms them for DAGs, so for a warmed store this is
-        the real heap cost); ``compiled_mapped_bytes`` is the
+        the *resident* half of every graph's compiled plan (with the
+        caches registration warms for DAGs, so for a warmed store this
+        is the real heap cost); ``compiled_mapped_bytes`` is the
         memory-mapped half — ``.fpc``-backed plans whose tables live in
         the page cache, not on the heap.
         """
@@ -598,15 +598,9 @@ class GraphStore:
             for entry in self._entries.values():
                 nodes += entry.graph.number_of_nodes()
                 edges += entry.graph.number_of_edges()
-                # CGraph caches its plan in ``_compiled_cache``; streamed
-                # graphs (registered programmatically) in ``_compiled``.
-                compiled = getattr(
-                    entry.graph, "_compiled_cache", None
-                ) or getattr(entry.graph, "_compiled", None)
-                if compiled is not None:
-                    split = compiled.nbytes_split()
-                    compiled_bytes += split["resident"]
-                    mapped_bytes += split["mapped"]
+                split = entry.graph.compiled().nbytes_split()
+                compiled_bytes += split["resident"]
+                mapped_bytes += split["mapped"]
             return {
                 "graphs": len(self._entries),
                 "registrations": self.registrations,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 from pathlib import Path
@@ -65,6 +66,65 @@ def nonfinite_probe_graph() -> CGraph:
         unreachable += [(prev, a), (prev, b), (a, m), (b, m)]
         prev = m
     return CGraph(reachable + unreachable, sources=["s"])
+
+
+#: Faults of a ``.fpc`` directory's ``meta.json`` that a load must
+#: reject with a ParameterError naming the file (:func:`malform_fpc_meta`).
+MALFORMED_FPC_META = (
+    "not-json",
+    "not-an-object",
+    "no-n",
+    "no-arrays",
+    "no-is_dag",
+    "arrays-not-an-object",
+    "table-not-an-object",
+    "unknown-dtype",
+    "list-dtype",
+    "unknown-table",
+    "missing-table",
+    "missing-level-table",
+    "negative-len",
+    "string-len",
+    "string-n",
+)
+
+
+def malform_fpc_meta(target: Path, case: str) -> None:
+    """Rewrite the ``meta.json`` of the ``.fpc`` DAG directory ``target``
+    with the fault ``case`` names."""
+    path = target / "meta.json"
+    meta = json.loads(path.read_text())
+    tables = meta["arrays"]
+    if case == "not-json":
+        path.write_text("{")
+        return
+    if case == "not-an-object":
+        meta = [meta]
+    elif case.startswith("no-"):
+        del meta[case[3:]]
+    elif case == "arrays-not-an-object":
+        meta["arrays"] = list(tables)
+    elif case == "table-not-an-object":
+        tables["out_targets"] = "int32"
+    elif case == "unknown-dtype":
+        tables["out_targets"]["dtype"] = "float32"
+    elif case == "list-dtype":
+        tables["out_targets"]["dtype"] = ["int32"]
+    elif case == "unknown-table":
+        tables["extra"] = {"dtype": "int32", "len": 0}
+    elif case == "missing-table":
+        del tables["in_sources"]
+    elif case == "missing-level-table":
+        del tables["depth"]
+    elif case == "negative-len":
+        tables["out_targets"]["len"] = -1
+    elif case == "string-len":
+        tables["out_targets"]["len"] = str(tables["out_targets"]["len"])
+    elif case == "string-n":
+        meta["n"] = str(meta["n"])
+    else:
+        raise ValueError(case)
+    path.write_text(json.dumps(meta))
 
 
 @pytest.fixture

@@ -415,6 +415,33 @@ def test_compile_and_service_cells_carry_wall_seconds():
     assert service_record.phases["solve"] == service_record.seconds
 
 
+def test_compile_cost_lands_in_compile_and_plan_seconds(monkeypatch):
+    """A graph compiles at construction, so the compile cell and every
+    solve cell's plan share must time that build, not a cached lookup."""
+    import time
+
+    from repro.bench.harness import run_scenario
+    from repro.graphs import compiled as graph_compiled
+
+    build = graph_compiled._interned_adjacency
+
+    def slow_build(*args):
+        time.sleep(0.05)
+        return build(*args)
+
+    monkeypatch.setattr(graph_compiled, "_interned_adjacency", slow_build)
+    compile_cell, solve_cell = run_suite(
+        [
+            BenchScenario("fig10", "compile", 0, "python", mode="compile"),
+            BenchScenario("fig10", "G_All", 2, "python"),
+        ]
+    )
+    assert compile_cell.seconds >= 0.05
+    assert solve_cell.plan_seconds >= 0.05
+    alone = run_scenario(BenchScenario("fig10", "G_All", 2, "python"))
+    assert alone.plan_seconds >= 0.05
+
+
 def test_bitpack_suite_cells_and_speedup_comparator():
     from repro.bench.compare import bitpack_speedup
     from repro.bench.scenarios import BITPACK_SOURCES

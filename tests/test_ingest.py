@@ -11,9 +11,9 @@ tables, directives or exception as with the NumPy handles of the io,
 compiled and largescale modules set to None.
 
 ``read_edge_list`` builds its graph table-first, from the interned
-segments and one CSR build; the per-edge ``CGraph(edges, ...)`` stays
-its oracle, with and without NumPy, on seeded random files and on
-files whose first fault must win.
+segments and one CSR build; the per-edge build of
+``tests/oracle_cgraph.py`` stays its oracle, with and without NumPy, on
+seeded random files and on files whose first fault must win.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ import re
 
 import pytest
 
+from oracle_cgraph import PerEdgeCGraph
+from repro.datasets import citation, quote, scale, synthetic, toy, twitter
+from repro.datasets.registry import DATASET_NAMES, get_dataset
 from repro.exceptions import GraphStructureError, ParameterError
 from repro.graphs import compiled as graph_compiled
 from repro.graphs import io as graph_io
@@ -390,7 +393,7 @@ def test_bulk_lines_count_edges_not_blank_lines(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The table-first reader against the per-edge CGraph
+# The table-first reader against the per-edge build
 # ----------------------------------------------------------------------
 
 
@@ -429,12 +432,12 @@ def full_summary(graph) -> dict:
 
 
 def per_edge_graph(path, sources):
-    """The oracle: ``CGraph`` fed the file's edges one by one."""
+    """The oracle: the per-edge build fed the file's edges."""
     stream = EdgeListStream(path)
     edges = list(stream.edges())
     if sources is None and stream.sources:
         sources = stream.sources
-    return CGraph(edges, nodes=stream.isolated, sources=sources)
+    return PerEdgeCGraph(edges, nodes=stream.isolated, sources=sources)
 
 
 def random_edge_file(seed: int) -> tuple[str, list | None]:
@@ -558,3 +561,79 @@ def test_random_files_mix_both_parsers():
         read_edge_list_text(random_edge_file(seed)[0])
         assert counter.value(path="bulk") > bulk, seed
         assert counter.value(path="per_line") > per_line, seed
+
+
+# ----------------------------------------------------------------------
+# CGraph(edges) against the per-edge build
+# ----------------------------------------------------------------------
+
+#: Scales that keep each dataset test-sized (toy figures take none).
+DATASET_SCALES = {
+    "synthetic-sparse": 0.5,
+    "synthetic-dense": 0.5,
+    "quote": 0.5,
+    "twitter": 0.05,
+    "citation": 0.2,
+    "scale-dag": 0.01,
+}
+
+
+@pytest.mark.parametrize("numpy_handle", ("numpy", "none"))
+@pytest.mark.parametrize("name", DATASET_NAMES)
+def test_dataset_graphs_match_per_edge_build(name, numpy_handle, monkeypatch):
+    """Each dataset generator's graph, built through ``CGraph``, equals
+    the per-edge build of the same edges, nodes and sources: nodes,
+    both adjacencies in order, sources and every compiled table with
+    its container and element types."""
+    if numpy_handle == "none":
+        without_numpy(monkeypatch)
+    builds = []
+
+    def recording(edges=(), *, nodes=(), sources=None):
+        edges, nodes = list(edges), list(nodes)
+        sources = None if sources is None else list(sources)
+        graph = CGraph(edges, nodes=nodes, sources=sources)
+        builds.append((graph, edges, nodes, sources))
+        return graph
+
+    for module in (citation, quote, scale, synthetic, toy, twitter):
+        monkeypatch.setattr(module, "CGraph", recording)
+    kwargs = {}
+    if name in DATASET_SCALES:
+        kwargs["scale"] = DATASET_SCALES[name]
+    graph = get_dataset(name, **kwargs)
+    built, edges, nodes, sources = builds[-1]
+    assert graph is built
+    reference = PerEdgeCGraph(edges, nodes=nodes, sources=sources)
+    assert full_summary(graph) == full_summary(reference)
+
+
+#: name -> (edges, isolated nodes, explicit sources): code-built graphs
+#: with tuple nodes, or with faults of which the first must win.
+CODE_BUILDS = {
+    "duplicate-before-self-loop": ([(1, 2), (2, 3), (1, 2), (3, 3)], (), None),
+    "self-loop-before-duplicate": ([(1, 2), (3, 3), (1, 2)], (), None),
+    "duplicate-after-isolated": ([("a", "b"), ("a", "b")], ("z",), None),
+    "missing-source": ([("a", "b")], ("z",), ["z", "nope"]),
+    "loop-before-missing-source": ([("a", "a")], (), ["nope"]),
+    "tuple-nodes": ([((0, 0), (1, 1)), ((1, 1), (0, 0))], (), [(0, 0)]),
+}
+
+
+@pytest.mark.parametrize("numpy_handle", ("numpy", "none"))
+@pytest.mark.parametrize("case", sorted(CODE_BUILDS))
+def test_cgraph_matches_per_edge_build_in_code(
+    case, numpy_handle, monkeypatch
+):
+    if numpy_handle == "none":
+        without_numpy(monkeypatch)
+    edges, isolated, sources = CODE_BUILDS[case]
+    got = outcome(
+        lambda: full_summary(CGraph(edges, nodes=isolated, sources=sources))
+    )
+    want = outcome(
+        lambda: full_summary(
+            PerEdgeCGraph(edges, nodes=isolated, sources=sources)
+        )
+    )
+    assert got == want

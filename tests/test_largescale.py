@@ -3,7 +3,7 @@
 Pins the three contracts the million-node tier rests on:
 
 * :func:`compile_edge_stream` builds the *same* compiled tables as the
-  materialized ``CGraph(...).compiled()`` path — same interning order,
+  per-edge build of ``tests/oracle_cgraph.py`` — same interning order,
   same CSR ordering, same source defaulting, same structural errors —
   in both the NumPy and the pure-python CSR builders.
 * The scale-dag generator is a pure function of ``(scale, seed)``:
@@ -24,6 +24,8 @@ from array import array
 
 import pytest
 
+from conftest import MALFORMED_FPC_META, malform_fpc_meta
+from oracle_cgraph import PerEdgeCGraph
 from repro.core.registry import get_algorithm
 from repro.exceptions import (
     GraphStructureError,
@@ -81,13 +83,13 @@ def tables_of(graph):
 
 
 # ----------------------------------------------------------------------
-# compile_edge_stream ≡ CGraph(...).compiled()
+# compile_edge_stream ≡ the per-edge build's compiled tables
 # ----------------------------------------------------------------------
 
 
 def test_streamed_tables_match_materialized_path():
     streamed = compile_edge_stream(iter(EDGES))
-    materialized = CGraph(EDGES)
+    materialized = PerEdgeCGraph(EDGES)
     assert tables_of(streamed) == tables_of(materialized)
 
 
@@ -95,7 +97,7 @@ def test_streamed_pins_sources_and_isolated():
     streamed = compile_edge_stream(
         iter(EDGES), sources=["a", "e"], isolated=["z"]
     )
-    materialized = CGraph(EDGES, nodes=["z"], sources=["a", "e"])
+    materialized = PerEdgeCGraph(EDGES, nodes=["z"], sources=["a", "e"])
     assert tables_of(streamed) == tables_of(materialized)
     assert streamed.sources == {"a", "e"}
     assert "z" in streamed
@@ -189,7 +191,7 @@ def test_empty_stream_compiles():
 
 def test_streamed_graph_protocol_matches_cgraph():
     streamed = compile_edge_stream(iter(EDGES))
-    reference = CGraph(EDGES)
+    reference = PerEdgeCGraph(EDGES)
     assert isinstance(streamed, StreamedGraph)
     assert streamed.number_of_nodes() == reference.number_of_nodes()
     assert streamed.number_of_edges() == reference.number_of_edges()
@@ -261,7 +263,7 @@ def test_scale_dag_compiles_with_spontaneous_sources():
 
 
 def test_compile_edge_list_honors_directives(tmp_path):
-    reference = CGraph(EDGES, nodes=["lone"], sources=["a", "b"])
+    reference = PerEdgeCGraph(EDGES, nodes=["lone"], sources=["a", "b"])
     path = tmp_path / "graph.txt"
     write_edge_list(reference, path)
     streamed = compile_edge_list(path)
@@ -351,6 +353,26 @@ def test_python_csr_build_holds_no_edge_set(tmp_path, monkeypatch):
     tracemalloc.start()
     try:
         graph = compile_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.number_of_edges() == 20_000
+    assert peak < 120 * 20_000
+
+
+def test_python_read_shares_id_ints(tmp_path, monkeypatch):
+    # Without NumPy, read_edge_list once copied its id tables with
+    # list(), a fresh int per element, and gathered its parents through
+    # a per-edge id list: ~168 B per edge here.  Gathered through the n
+    # ids and straight into nodes it peaks at ~79 B per edge.
+    for module in (graph_io, graph_compiled, graph_largescale):
+        monkeypatch.setattr(module, "_np", None)
+    path = string_id_file(tmp_path)
+    monkeypatch.setattr(graph_io, "_BLOCK_BYTES", 4096)
+    read_edge_list(path)
+    tracemalloc.start()
+    try:
+        graph = read_edge_list(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -546,4 +568,12 @@ def test_fpc_rejects_truncated_tables(tmp_path):
     table = target / "out_targets.bin"
     table.write_bytes(table.read_bytes()[:-4])
     with pytest.raises(ParameterError, match="bytes"):
+        load_compiled(target)
+
+
+@pytest.mark.parametrize("case", MALFORMED_FPC_META)
+def test_fpc_rejects_malformed_meta(case, tmp_path):
+    _, target = fpc_fixture(tmp_path)
+    malform_fpc_meta(target, case)
+    with pytest.raises(ParameterError, match="meta.json"):
         load_compiled(target)

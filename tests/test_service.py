@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from conftest import MALFORMED_FPC_META, malform_fpc_meta
 from repro.exceptions import ParameterError
 from repro.graphs.cgraph import CGraph
 from repro.service.app import ServiceApp
@@ -661,6 +662,19 @@ def test_register_fpc_roundtrip(tmp_path):
         app.close()
 
 
+def malformed_fpc_dirs(tmp_path) -> list:
+    """One fig1 ``.fpc`` directory per malformed ``meta.json`` case."""
+    from repro.datasets.registry import get_dataset
+    from repro.graphs.largescale import save_compiled
+
+    targets = []
+    for case in MALFORMED_FPC_META:
+        target = save_compiled(get_dataset("fig1"), tmp_path / f"{case}.fpc")
+        malform_fpc_meta(target, case)
+        targets.append(target)
+    return targets
+
+
 def test_register_graph_body_exclusivity(tmp_path, app):
     from repro.service.app import RequestError
 
@@ -670,10 +684,22 @@ def test_register_graph_body_exclusivity(tmp_path, app):
         {"edges": "a b", "fpc_path": "x"},
         {"fpc_path": 7},
         {"fpc_path": str(tmp_path / "missing.fpc")},
+        *({"fpc_path": str(t)} for t in malformed_fpc_dirs(tmp_path)),
     ):
         with pytest.raises(RequestError) as err:
             app.handle_register_graph(body)
-        assert err.value.status == 400
+        assert err.value.status == 400, body
+
+
+def test_store_quarantines_malformed_meta(tmp_path):
+    persist = tmp_path / "plans"
+    persist.mkdir()
+    for target in malformed_fpc_dirs(persist):
+        (target / "store.json").write_text('{"digest": "d", "name": "n"}')
+    booted = GraphStore(persist_dir=persist)
+    assert booted.digests() == ()
+    assert booted.stats()["quarantined_plans"] == len(MALFORMED_FPC_META)
+    assert not list(persist.glob("*.fpc"))
 
 
 def test_store_persist_dir_roundtrip(tmp_path):
