@@ -37,9 +37,6 @@ class FRCurve:
     ks: tuple[int, ...]
     values: tuple[float, ...]
 
-    def as_dict(self) -> dict[int, float]:
-        return dict(zip(self.ks, self.values))
-
     def final(self) -> float:
         """FR at the largest measured budget."""
         return self.values[-1] if self.values else 0.0

@@ -247,32 +247,20 @@ def _add_warm_arguments(parser: argparse.ArgumentParser) -> None:
         help="source-block size of the blocked reachability warm "
         "(default: 1024 lanes; one sweep holds O(n·B/8) bytes)",
     )
-    parser.add_argument(
-        "--warm-workers",
-        type=int,
-        default=None,
-        metavar="W",
-        help="process-pool workers sharding the reachability warm over "
-        "source ranges (default: 1 = in-process sweep; results are "
-        "bit-identical for every worker count)",
-    )
 
 
 @contextlib.contextmanager
 def _warm_scoped(args: argparse.Namespace):
-    """Scope the blocked-warm knobs around a command.
+    """Scope the blocked-warm block size around a command.
 
-    ``--reach-block`` / ``--warm-workers`` bind the thread-scoped
-    defaults in :mod:`repro.propagation.reach` for the command's
-    duration; unset flags leave the process defaults untouched.
+    ``--reach-block`` binds the thread-scoped default in
+    :mod:`repro.propagation.reach` for the command's duration; an unset
+    flag leaves the process default untouched.
     """
-    from repro.propagation.reach import use_reach_block, use_warm_workers
+    from repro.propagation.reach import use_reach_block
 
-    with contextlib.ExitStack() as stack:
-        if getattr(args, "reach_block", None) is not None:
-            stack.enter_context(use_reach_block(args.reach_block))
-        if getattr(args, "warm_workers", None) is not None:
-            stack.enter_context(use_warm_workers(args.warm_workers))
+    block = getattr(args, "reach_block", None)
+    with contextlib.nullcontext() if block is None else use_reach_block(block):
         yield
 
 
@@ -451,22 +439,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         TRACER.disable()
     else:
         TRACER.enable()
-    # Warm knobs bind process-wide here (not thread-scoped): jobs warm
-    # graphs from pool threads, which would never see a scoped override
-    # made on the boot thread.
-    if args.reach_block is not None or args.warm_workers is not None:
-        from repro.propagation.reach import (
-            set_reach_block,
-            set_warm_workers,
-        )
+    # The block size binds process-wide here (not thread-scoped): jobs
+    # warm graphs from pool threads, which would never see a scoped
+    # override made on the boot thread.
+    if args.reach_block is not None:
+        from repro.propagation.reach import set_reach_block
 
-        if args.reach_block is not None:
-            set_reach_block(args.reach_block)
-        if args.warm_workers is not None:
-            set_warm_workers(args.warm_workers)
+        set_reach_block(args.reach_block)
     app = ServiceApp(
         workers=args.workers,
-        pool=args.pool,
         cache_entries=args.cache_entries,
         cache_bytes=args.cache_bytes,
         max_graphs=args.max_graphs,
@@ -760,8 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_warm_arguments(bench)
     bench.set_defaults(func=_cmd_bench)
 
-    from repro.service.jobs import POOL_KINDS
-
     serve = sub.add_parser(
         "serve", help="run the placement service (HTTP JSON API)"
     )
@@ -781,13 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="process-pool workers sharding Monte-Carlo worlds inside "
         "each placement job (1 = serial evaluation)",
-    )
-    serve.add_argument(
-        "--pool",
-        choices=POOL_KINDS,
-        default="thread",
-        help="worker pool kind: thread shares the resident graphs, "
-        "process isolates long big-int exact runs (default: thread)",
     )
     serve.add_argument(
         "--cache-entries",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import operator
 import random
-from typing import Hashable
 
 from repro.core.base import (
     PlacementResult,
@@ -26,13 +25,6 @@ from repro.core.base import (
     select_top,
 )
 from repro.graphs.cgraph import CGraph
-
-Node = Hashable
-
-
-def degree_score(graph: CGraph, node: Node) -> int:
-    """``m(v) = din(v) × dout(v)``."""
-    return graph.in_degree(node) * graph.out_degree(node)
 
 
 class GreedyOne:

@@ -165,35 +165,6 @@ def expected_objective_value(
     )
 
 
-def expected_filter_ratio(
-    graph: CGraph,
-    filters: Collection[Node],
-    *,
-    model: "PropagationModel | None" = None,
-    phi_empty: float | None = None,
-    f_max: float | None = None,
-    backend: "str | PropagationBackend | None" = None,
-) -> float:
-    """``E[FR(A)]`` — the Filter Ratio on SAA estimates.
-
-    Same conventions as :func:`filter_ratio` (``F(V) = 0`` reports 1.0);
-    under common random numbers the estimate is a genuine ratio of one
-    consistent sample average, not a ratio of independent noise.
-    """
-    if phi_empty is None:
-        phi_empty = expected_phi(graph, (), model=model, backend=backend)
-    if f_max is None:
-        f_max = phi_empty - expected_phi(
-            graph, graph.nodes(), model=model, backend=backend
-        )
-    if f_max == 0:
-        return 1.0
-    value = expected_objective_value(
-        graph, filters, model=model, phi_empty=phi_empty, backend=backend
-    )
-    return value / f_max
-
-
 def minimal_perfect_filter_set(
     graph: CGraph,
     *,

@@ -56,12 +56,6 @@ class BinarizedTree:
     def is_dump(self, node: Node) -> bool:
         return node in self.dump_nodes
 
-    def real_nodes(self) -> tuple[Node, ...]:
-        """The original (non-dump) nodes, source included."""
-        return tuple(
-            v for v in self.graph.nodes() if v not in self.dump_nodes
-        )
-
 
 def binarize_ctree(graph: CGraph) -> BinarizedTree:
     """Rewrite a c-tree so that every tree node has at most two children.

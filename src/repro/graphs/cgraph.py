@@ -22,7 +22,7 @@ Design notes
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from typing import Any
 
 from repro.exceptions import (
@@ -285,14 +285,6 @@ class CGraph:
             if len(self._pred[v]) > 1 and self._succ[v]
         )
 
-    def max_degree(self) -> int:
-        """``Δ``: the maximum of in- and out-degrees over all nodes."""
-        if not self._nodes:
-            return 0
-        return max(
-            max(len(self._succ[v]), len(self._pred[v])) for v in self._nodes
-        )
-
     # ------------------------------------------------------------------
     # Structure queries (cached because the graph is immutable)
     # ------------------------------------------------------------------
@@ -462,23 +454,6 @@ class CGraph:
             nodes=graph.nodes(),
             sources=flagged if flagged else None,
         )
-
-    # ------------------------------------------------------------------
-    # Convenience constructors
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_adjacency(
-        cls,
-        adjacency: Mapping[Node, Sequence[Node]],
-        *,
-        sources: Iterable[Node] | None = None,
-    ) -> "CGraph":
-        """Build a graph from a ``{node: [successors]}`` mapping."""
-        edges = [
-            (u, v) for u, children in adjacency.items() for v in children
-        ]
-        return cls(edges, nodes=adjacency.keys(), sources=sources)
 
     def single_source(self) -> Node:
         """Return the unique source, or raise.

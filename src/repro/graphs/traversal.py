@@ -87,17 +87,6 @@ class DfsResult:
     tree_edges: list[tuple[Node, Node]] = field(default_factory=list)
     parent: dict[Node, Node | None] = field(default_factory=dict)
 
-    def is_ancestor(self, u: Node, v: Node) -> bool:
-        """True when ``u`` is an ancestor of ``v`` in the DFS forest.
-
-        Uses the classic parenthesis property of discovery/finish times.
-        Every node is an ancestor of itself.
-        """
-        return (
-            self.discovery[u] <= self.discovery[v]
-            and self.finish[v] <= self.finish[u]
-        )
-
 
 def dfs_forest(graph: CGraph, roots: list[Node]) -> DfsResult:
     """Iterative depth-first search from ``roots`` (in order).
@@ -142,99 +131,3 @@ def dfs_forest(graph: CGraph, roots: list[Node]) -> DfsResult:
                 stack.pop()
     return result
 
-
-def longest_path_length(graph: CGraph) -> int:
-    """Number of edges on a longest directed path in a DAG.
-
-    Used by dataset tests to sanity-check generated level structure.
-    Raises on cyclic input.
-    """
-    order = graph.topological_order()
-    best: dict[Node, int] = {v: 0 for v in order}
-    for v in order:
-        for child in graph.successors(v):
-            if best[v] + 1 > best[child]:
-                best[child] = best[v] + 1
-    return max(best.values(), default=0)
-
-
-def count_paths_between(graph: CGraph, origin: Node, target: Node) -> int:
-    """``#paths(origin, target)``: the number of distinct directed paths.
-
-    This is the quantity the paper's ``plist`` bookkeeping tracks.  A
-    single topological pass computes it exactly on DAGs; counts can grow
-    exponentially, which Python integers absorb without overflow.
-    """
-    if origin not in graph:
-        raise MissingNodeError(origin)
-    if target not in graph:
-        raise MissingNodeError(target)
-    order = graph.topological_order()
-    paths: dict[Node, int] = {v: 0 for v in order}
-    paths[origin] = 1
-    for v in order:
-        if paths[v] == 0:
-            continue
-        for child in graph.successors(v):
-            paths[child] += paths[v]
-        if v == target:
-            break
-    return paths[target] if origin != target else 1
-
-
-def strongly_connected_components(graph: CGraph) -> list[set[Node]]:
-    """Tarjan's strongly connected components, iteratively.
-
-    Needed by the general-graph pipeline to report which cycles forced the
-    ``Acyclic`` pre-processing step to drop edges.
-    """
-    index_counter = 0
-    index: dict[Node, int] = {}
-    lowlink: dict[Node, int] = {}
-    on_stack: set[Node] = set()
-    stack: list[Node] = []
-    components: list[set[Node]] = []
-
-    for start in graph.nodes():
-        if start in index:
-            continue
-        work: list[tuple[Node, int]] = [(start, 0)]
-        while work:
-            node, child_index = work[-1]
-            if child_index == 0:
-                index[node] = index_counter
-                lowlink[node] = index_counter
-                index_counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            children = graph.successors(node)
-            recurred = False
-            while child_index < len(children):
-                child = children[child_index]
-                child_index += 1
-                if child not in index:
-                    work[-1] = (node, child_index)
-                    work.append((child, 0))
-                    recurred = True
-                    break
-                if child in on_stack and index[child] < lowlink[node]:
-                    lowlink[node] = index[child]
-            if recurred:
-                continue
-            work[-1] = (node, child_index)
-            if child_index >= len(children):
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if lowlink[node] < lowlink[parent]:
-                        lowlink[parent] = lowlink[node]
-                if lowlink[node] == index[node]:
-                    component: set[Node] = set()
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.add(member)
-                        if member == node:
-                            break
-                    components.append(component)
-    return components

@@ -198,17 +198,6 @@ def build_model(
 _default_model: ScopedDefault[PropagationModel | None] = ScopedDefault(None)
 
 
-def get_default_model() -> PropagationModel | None:
-    """The model used when an algorithm has none pinned (None = exact)."""
-    return _default_model.get()
-
-
-def set_default_model(model: PropagationModel | None) -> None:
-    """Set the process-wide default propagation model."""
-    _check_model_spec(model)
-    _default_model.set_global(model)
-
-
 def _check_model_spec(model: PropagationModel | None) -> None:
     if model is not None and not isinstance(model, PropagationModel):
         raise ParameterError(

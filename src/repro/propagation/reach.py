@@ -15,8 +15,7 @@ own lanes, popcounts into a per-node accumulator, and drops its lanes
 before the next block starts.  Resident memory is O(n·B/8) — block
 size, not source count — and because the blocks partition the source
 set, the popcount sums are *exact integer addition*: the result is
-bit-identical to the monolithic build for every block size, worker
-count, and reduce order.
+bit-identical to the monolithic build for every block size.
 
 Two sweep engines, one contract:
 
@@ -40,16 +39,10 @@ Two sweep engines, one contract:
   and clears each window's own bits the same way, so ``swept_sources``
   and ``blocks`` mean the same on every engine.
 
-Independent blocks also shard over the cached ProcessPoolExecutor from
-:mod:`repro.propagation.parallel`: worker ``w`` of ``W`` sweeps blocks
-``w, w + W, …`` of the serial order and returns its counts, and the
-parent adds the int64 vectors elementwise.  The reduce is
-associative-commutative integer addition, so any worker count or
-completion order produces the identical counts.
-
-Knobs ride the same :class:`~repro.scoping.ScopedDefault` pattern as the
+The warm runs in the process that holds the graph.  The block size
+rides the same :class:`~repro.scoping.ScopedDefault` pattern as the
 world-worker count — one process-wide default, thread-scoped overrides —
-wired to the CLI's ``--reach-block`` / ``--warm-workers`` flags.
+wired to the CLI's ``--reach-block`` flag.
 """
 
 from __future__ import annotations
@@ -60,7 +53,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any
 
-from repro.exceptions import ParameterError, ReproError
+from repro.exceptions import ParameterError
 from repro.graphs.compiled import (
     DEFAULT_REACH_BLOCK,
     blocked_reach_counts,
@@ -71,20 +64,9 @@ from repro.scoping import ScopedDefault
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graphs.compiled import CompiledGraph
 
-#: Below this many sources the process pool is never engaged: worker
-#: dispatch ships the in-CSR tables, and a sweep this small finishes
-#: before the payloads would even unpickle.
-MIN_SOURCES_FOR_POOL = 512
-
-
-class ReachShardError(ReproError):
-    """A blocked-warm worker shard failed; carries the failure's text."""
-
-
 # Per-thread scoping, like the backend/model/world-worker defaults: the
 # service's concurrent jobs must not inherit each other's knobs.
 _block: ScopedDefault[int] = ScopedDefault(DEFAULT_REACH_BLOCK)
-_warm_workers: ScopedDefault[int] = ScopedDefault(1)
 
 
 def _check_block(block: int) -> int:
@@ -95,22 +77,9 @@ def _check_block(block: int) -> int:
     return block
 
 
-def _check_workers(workers: int) -> int:
-    if not isinstance(workers, int) or isinstance(workers, bool):
-        raise ParameterError("warm workers must be an integer")
-    if workers < 1:
-        raise ParameterError("warm workers must be positive")
-    return workers
-
-
 def active_reach_block() -> int:
     """The effective source-block size for the calling thread."""
     return _block.get()
-
-
-def active_warm_workers() -> int:
-    """The effective warm-worker count for the calling thread."""
-    return _warm_workers.get()
 
 
 def set_reach_block(block: int) -> None:
@@ -118,22 +87,10 @@ def set_reach_block(block: int) -> None:
     _block.set_global(_check_block(block))
 
 
-def set_warm_workers(workers: int) -> None:
-    """Set the process-wide warm-worker count (1 = serial)."""
-    _warm_workers.set_global(_check_workers(workers))
-
-
 @contextmanager
 def use_reach_block(block: int) -> Iterator[int]:
     """Scope the source block size for a ``with`` block (this thread)."""
     with _block.scoped(_check_block(block)) as value:
-        yield value
-
-
-@contextmanager
-def use_warm_workers(workers: int) -> Iterator[int]:
-    """Scope the warm-worker count for a ``with`` block (this thread)."""
-    with _warm_workers.scoped(_check_workers(workers)) as value:
         yield value
 
 
@@ -146,10 +103,7 @@ def _numpy_or_none():
 
 
 def warm_reach_counts(
-    compiled: "CompiledGraph",
-    *,
-    block: int | None = None,
-    workers: int | None = None,
+    compiled: "CompiledGraph", *, block: int | None = None
 ) -> list:
     """Build (and cache) ``compiled``'s reach counts via the blocked sweep.
 
@@ -160,31 +114,24 @@ def warm_reach_counts(
     ``load_compiled``) round-trips, so a memory-mapped restart skips the
     sweep entirely.
 
-    ``block``/``workers`` default to the thread's scoped knobs
-    (:func:`use_reach_block` / :func:`use_warm_workers`).  Results are
-    bit-identical across every (engine, block, workers) combination.
-    The ``warm.reach`` span records which ``engine`` ran (``numpy``,
-    ``sharded`` or ``python``), how many sources it swept and in how
-    many blocks; ``fp_warm_reach_blocks_total`` counts the same blocks.
+    ``block`` defaults to the thread's scoped block size
+    (:func:`use_reach_block`).  Results are bit-identical across every
+    (engine, block) combination.  The ``warm.reach`` span records which
+    ``engine`` ran (``numpy`` or ``python``), how many sources it swept
+    and in how many blocks; ``fp_warm_reach_blocks_total`` counts the
+    same blocks.
     """
     cached = compiled._reach_counts
     if cached is not None:
         return cached
     block = _check_block(active_reach_block() if block is None else block)
-    workers = _check_workers(
-        active_warm_workers() if workers is None else workers
-    )
     from repro.obs.metrics import REGISTRY
     from repro.obs.trace import span
 
     num_sources = len(compiled.source_ids)
     started = time.perf_counter()
     with span(
-        "warm.reach",
-        n=compiled.n,
-        sources=num_sources,
-        block=block,
-        workers=workers,
+        "warm.reach", n=compiled.n, sources=num_sources, block=block
     ) as record:
         np = _numpy_or_none()
         if np is None:
@@ -198,21 +145,10 @@ def warm_reach_counts(
                 np, tables, compiled.source_ids
             )
             swept = int(sources.size)
-            if (
-                workers > 1
-                and swept >= MIN_SOURCES_FOR_POOL
-                and swept > block
-            ):
-                engine = "sharded"
-                raw = _sharded_reach_counts(
-                    np, tables, sources, first_levels, block, workers
-                )
-            else:
-                engine = "numpy"
-                raw = _plane_sweep_counts(
-                    np, tables, sources, first_levels, block
-                )
-            counts = raw.tolist()
+            engine = "numpy"
+            counts = _plane_sweep_counts(
+                np, tables, sources, first_levels, block
+            ).tolist()
         blocks = -(-swept // block)
         record.set("engine", engine)
         record.set("swept_sources", swept)
@@ -349,7 +285,6 @@ _TALLY_DTYPE = "uint16"
 def _plane_sweep_counts(np, tables: tuple, sources, first_levels, block):
     """Blocked reach counts of ``sources``, in node-id order.
 
-    The engine both the serial path and the shard workers run.
     ``sources`` must be sorted by ``first_levels`` (see
     :func:`_swept_sources`).  Each block of ``block`` lanes sets its
     sources' own bits in one node-major ``(n + 1, ⌈block/64⌉)`` uint64
@@ -395,75 +330,3 @@ def _plane_sweep_counts(np, tables: tuple, sources, first_levels, block):
     counts[node_of_row] = by_row
     return counts
 
-
-# ----------------------------------------------------------------------
-# Process-parallel sharding (blocks dealt round-robin, exact reduce)
-# ----------------------------------------------------------------------
-
-
-def _reach_shard_worker(payload: tuple) -> bytes:
-    """Sweep one shard's blocks in a worker process.
-
-    ``payload`` ships the in-CSR, topo and level tables as native-endian
-    int64 bytes — *not* a :func:`~repro.propagation.parallel.graph_spec`,
-    which would materialize every edge as a python tuple and defeat the
-    streamed tiers — plus the shard's sources and their first levels.
-    Returns the shard's counts as int64 bytes.
-    """
-    n, table_bytes, src_b, first_b, block = payload
-    import numpy as np
-
-    tables = (n, *(np.frombuffer(b, dtype=np.int64) for b in table_bytes))
-    counts = _plane_sweep_counts(
-        np,
-        tables,
-        np.frombuffer(src_b, dtype=np.int64),
-        np.frombuffer(first_b, dtype=np.int64),
-        block,
-    )
-    return counts.tobytes()
-
-
-def _sharded_reach_counts(
-    np, tables: tuple, sources, first_levels, block: int, workers: int
-):
-    """Deal the serial sweep's blocks round-robin over the process pool.
-
-    Worker ``w`` sweeps blocks ``w, w + workers, …`` — the serial
-    blocks exactly, so each worker sees both shallow and deep blocks.
-    Each returns an independent int64 count vector; the parent sums
-    them elementwise (exact integer addition — any worker count or
-    completion order yields bit-identical totals).
-    """
-    from repro.propagation.parallel import _drop_pool, _get_pool
-
-    n = tables[0]
-    blocks = -(-int(sources.size) // block)
-    deal = (np.arange(sources.size) // block) % workers
-    table_bytes = tuple(t.tobytes() for t in tables[1:])
-    payloads = []
-    for w in range(min(workers, blocks)):
-        mine = deal == w
-        payloads.append((
-            n,
-            table_bytes,
-            sources[mine].tobytes(),
-            first_levels[mine].tobytes(),
-            block,
-        ))
-    pool = _get_pool(workers)
-    try:
-        futures = [pool.submit(_reach_shard_worker, p) for p in payloads]
-        shards = [f.result() for f in futures]
-    except Exception as exc:
-        # BrokenProcessPool (a died worker) poisons the pool; plain
-        # worker exceptions do not, but dropping is always safe.
-        _drop_pool(workers)
-        raise ReachShardError(
-            f"blocked warm shard failed ({workers} workers): "
-            f"{type(exc).__name__}: {exc}"
-        ) from exc
-    counts = np.zeros(n, dtype=np.int64)
-    for shard in shards:
-        counts += np.frombuffer(shard, dtype=np.int64)
-    return counts

@@ -44,13 +44,6 @@ class SetCoverInstance:
                 f"universe elements not in any set: {sorted(missing, key=repr)}"
             )
 
-    def is_cover(self, chosen: set[int]) -> bool:
-        """Do the sets indexed by ``chosen`` cover the universe?"""
-        covered: set[Element] = set()
-        for index in chosen:
-            covered.update(self.sets[index])
-        return self.universe <= covered
-
 
 def set_node(index: int) -> str:
     """Graph node id for set ``S_index``."""

@@ -45,10 +45,6 @@ class ScopedDefault(Generic[T]):
         """Set the process-wide fallback (all threads, outside scopes)."""
         self._global = value
 
-    def get_global(self) -> T:
-        """The process-wide fallback, ignoring any active scope."""
-        return self._global
-
     @contextmanager
     def scoped(self, value: T) -> Iterator[T]:
         """Override the value for a ``with`` block on this thread only."""

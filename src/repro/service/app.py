@@ -53,7 +53,7 @@ from repro.service.serialize import (
     placement_payload,
     stats_payload,
 )
-from repro.service.store import GraphStore, build_graph_from_spec
+from repro.service.store import GraphStore
 
 Node = Hashable
 
@@ -114,9 +114,8 @@ def execute_placement(
 ) -> dict[str, Any]:
     """Run one fully-specified placement and serialize it.
 
-    The single execution path behind cold misses in both pool modes: the
-    thread pool calls it on the resident graph, the process pool calls
-    :func:`execute_placement_from_spec` which rebuilds the graph first.
+    The single execution path behind cold misses: a pool thread calls it
+    on the resident graph with the entry's cached ``phi_constants``.
     The ``use_backend`` scope (thread-local) covers algorithms that
     resolve the backend internally rather than via their ``backend``
     attribute.
@@ -176,44 +175,6 @@ def execute_placement(
         instrumented.publish()
 
 
-def execute_placement_from_spec(
-    spec: dict[str, Any],
-    algorithm: str,
-    strategy: str,
-    backend: str,
-    k: int,
-    rng_seed: int,
-    model: str = "deterministic",
-    trials: int = 0,
-    mc_seed: int = 0,
-    probabilities: "float | dict | None" = None,
-    world_workers: int = 1,
-    sketch_k: int = 0,
-    sketch_seed: int = 0,
-) -> dict[str, Any]:
-    """Process-pool entry point: rebuild the graph, then place.
-
-    Module-level and driven by plain data so it pickles; the rebuilt
-    graph is discarded with the worker's memory once the payload returns.
-    """
-    graph = build_graph_from_spec(spec)
-    return execute_placement(
-        graph,
-        algorithm,
-        strategy,
-        backend,
-        k,
-        rng_seed,
-        model=model,
-        trials=trials,
-        mc_seed=mc_seed,
-        probabilities=probabilities,
-        world_workers=world_workers,
-        sketch_k=sketch_k,
-        sketch_seed=sketch_seed,
-    )
-
-
 class ServiceApp:
     """The placement service: graph store + result cache + worker pool."""
 
@@ -221,7 +182,6 @@ class ServiceApp:
         self,
         *,
         workers: int = 4,
-        pool: str = "thread",
         cache_entries: int = 1024,
         cache_bytes: int = 32 * 1024 * 1024,
         max_graphs: int | None = None,
@@ -238,7 +198,7 @@ class ServiceApp:
         self.cache = PlacementCache(
             max_entries=cache_entries, max_bytes=cache_bytes
         )
-        self.jobs = JobManager(workers=workers, pool=pool)
+        self.jobs = JobManager(workers=workers)
         #: World-shard workers each placement job evaluates sampled
         #: worlds with (1 = serial); scoped per job thread, so concurrent
         #: jobs cannot leak the setting into each other.
@@ -249,7 +209,7 @@ class ServiceApp:
         self._lock = threading.Lock()
 
     def close(self) -> None:
-        """Shut the worker pools down (idempotent)."""
+        """Shut the job pool down (idempotent)."""
         self.jobs.shutdown(wait=False)
 
     def _count_request(self) -> None:
@@ -567,40 +527,22 @@ class ServiceApp:
         """The closure a cache miss runs on the worker pool."""
 
         def compute() -> dict[str, Any]:
-            if self.jobs.pool_kind == "process":
-                payload = self.jobs.dispatch(
-                    execute_placement_from_spec,
-                    entry.spec,
-                    key.algorithm,
-                    key.strategy,
-                    key.backend,
-                    key.k,
-                    key.rng_seed,
-                    key.model,
-                    key.trials,
-                    key.mc_seed,
-                    entry.probabilities,
-                    self.world_workers,
-                    key.sketch_k,
-                    key.sketch_seed,
-                )
-            else:
-                payload = execute_placement(
-                    entry.graph,
-                    key.algorithm,
-                    key.strategy,
-                    key.backend,
-                    key.k,
-                    key.rng_seed,
-                    phi_constants=entry.phi_constants(),
-                    model=key.model,
-                    trials=key.trials,
-                    mc_seed=key.mc_seed,
-                    probabilities=entry.probabilities,
-                    world_workers=self.world_workers,
-                    sketch_k=key.sketch_k,
-                    sketch_seed=key.sketch_seed,
-                )
+            payload = execute_placement(
+                entry.graph,
+                key.algorithm,
+                key.strategy,
+                key.backend,
+                key.k,
+                key.rng_seed,
+                phi_constants=entry.phi_constants(),
+                model=key.model,
+                trials=key.trials,
+                mc_seed=key.mc_seed,
+                probabilities=entry.probabilities,
+                world_workers=self.world_workers,
+                sketch_k=key.sketch_k,
+                sketch_seed=key.sketch_seed,
+            )
             # Estimate-only sketch payloads (``scored: false``) carry no
             # phi family, so they cannot seed prefix derivations.
             self.cache.put(
@@ -735,7 +677,6 @@ class ServiceApp:
             "cache": self.cache.stats(),
             "jobs": self.jobs.counts(),
             "pool": {
-                "kind": self.jobs.pool_kind,
                 "workers": self.jobs.workers,
                 "world_workers": self.world_workers,
             },

@@ -7,18 +7,11 @@ same cache key while an identical job is queued or running returns the
 existing job — a thundering herd of identical requests performs the
 expensive computation exactly once.
 
-Two pool shapes, chosen at construction:
-
-* ``thread`` (default) — a :class:`~concurrent.futures.ThreadPoolExecutor`
-  running jobs in-process against the resident graph.  Placement work on
-  big graphs is dominated by NumPy kernels and big-int arithmetic, both of
-  which release or sidestep the GIL well enough for serving.
-* ``process`` — jobs additionally dispatch their computation to a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  The worker cannot
-  share the resident graph, so it rebuilds it from the entry's picklable
-  spec; worth it for long exact big-int runs that would otherwise pin the
-  serving process.  Coordinator threads still own the lifecycle, so
-  states, dedup and cancellation behave identically in both modes.
+Jobs run on a :class:`~concurrent.futures.ThreadPoolExecutor` in the
+serving process, against the resident graph and its cached objective
+constants.  Placement work on big graphs is dominated by NumPy kernels
+and big-int arithmetic, both of which release or sidestep the GIL well
+enough for serving.
 """
 
 from __future__ import annotations
@@ -26,17 +19,10 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable
 
 from repro.exceptions import ParameterError
-
-#: Legal pool kinds for :class:`JobManager`.
-POOL_KINDS: tuple[str, ...] = ("thread", "process")
 
 #: Job lifecycle states.
 JOB_STATES: tuple[str, ...] = (
@@ -138,42 +124,18 @@ class Job:
 class JobManager:
     """Runs placement jobs on a bounded pool with in-flight dedup."""
 
-    def __init__(self, *, workers: int = 4, pool: str = "thread") -> None:
+    def __init__(self, *, workers: int = 4) -> None:
         if workers < 1:
             raise ParameterError("workers must be positive")
-        if pool not in POOL_KINDS:
-            known = ", ".join(POOL_KINDS)
-            raise ParameterError(
-                f"unknown pool kind {pool!r}; known kinds: {known}"
-            )
-        self.pool_kind = pool
         self.workers = workers
-        self._coordinator = ThreadPoolExecutor(
+        self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="placement-job"
-        )
-        self._process_pool: ProcessPoolExecutor | None = (
-            ProcessPoolExecutor(max_workers=workers)
-            if pool == "process"
-            else None
         )
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._in_flight: dict[str, Job] = {}
         self.submitted = 0
         self.deduplicated = 0
-
-    def dispatch(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Run ``fn(*args)`` on the process pool when configured, inline
-        otherwise.
-
-        Job closures route their computation through this so the same
-        closure works under both pool kinds; with ``pool="process"`` the
-        function and its arguments must be picklable (module-level
-        functions over plain data).
-        """
-        if self._process_pool is not None:
-            return self._process_pool.submit(fn, *args).result()
-        return fn(*args)
 
     def submit(
         self,
@@ -232,7 +194,7 @@ class JobManager:
                     if self._in_flight.get(key) is job:
                         del self._in_flight[key]
 
-        job._future = self._coordinator.submit(run)
+        job._future = self._pool.submit(run)
         return job, True
 
     def get(self, job_id: str) -> Job:
@@ -284,6 +246,4 @@ class JobManager:
 
     def shutdown(self, *, wait: bool = True) -> None:
         """Stop accepting work and (optionally) wait for running jobs."""
-        self._coordinator.shutdown(wait=wait, cancel_futures=True)
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=wait, cancel_futures=True)
+        self._pool.shutdown(wait=wait, cancel_futures=True)

@@ -18,6 +18,7 @@ entry, and a cache keyed by digest survives re-registration.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import logging
@@ -137,10 +138,14 @@ def _probability_lines(probabilities: "float | dict | None") -> list[str]:
 
 
 def build_graph_from_spec(spec: dict[str, Any]) -> CGraph:
-    """Rebuild a graph from a :class:`GraphEntry` spec.
+    """Build a graph from a registration spec.
 
-    Module-level and driven purely by picklable data so process-pool
-    workers (which cannot share the resident graph) can reconstruct it.
+    ``spec["kind"]`` is ``"dataset"`` (a generator call), ``"edges"``
+    (an edge-list ``"text"`` with optional ``"sources"``, ``"prepare"``
+    and ``"initiator"``) or ``"fpc"`` (a compiled-plan ``"path"``).  The
+    store registers every graph through it; a :class:`GraphEntry` keeps
+    the spec without the ``"text"``, so an upload is held once, as
+    tables.
     """
     kind = spec.get("kind")
     if kind == "dataset":
@@ -236,9 +241,6 @@ class GraphEntry:
 
     def describe_payload(self) -> dict[str, Any]:
         """The entry's JSON form for listings and registration responses."""
-        public_spec = {
-            k: v for k, v in self.spec.items() if k != "text"
-        }
         if isinstance(self.probabilities, dict):
             edge_prob: Any = f"per-edge({len(self.probabilities)})"
         elif self.probabilities is not None:
@@ -248,7 +250,7 @@ class GraphEntry:
         return {
             "digest": self.digest,
             "name": self.name,
-            "spec": public_spec,
+            "spec": copy.deepcopy(self.spec),
             "nodes": self.graph.number_of_nodes(),
             "edges": self.graph.number_of_edges(),
             "edge_prob": edge_prob,
@@ -412,8 +414,6 @@ class GraphStore:
         reach the job API.  Persisted reach counts ride along, so a
         pre-warmed ``.fpc`` registers without re-running the sweep.
         """
-        from repro.graphs.largescale import load_compiled
-
         fpc = Path(path)
         spec: dict[str, Any] = {"kind": "fpc", "path": str(fpc)}
         graph = build_graph_from_spec(spec)
@@ -563,12 +563,11 @@ class GraphStore:
         """
         spec: dict[str, Any] = {
             "kind": "edges",
-            "text": text,
             "sources": sources,
             "prepare": prepare,
             "initiator": initiator,
         }
-        graph = build_graph_from_spec(spec)
+        graph = build_graph_from_spec({**spec, "text": text})
         return self.register_graph(
             graph, name=name, spec=spec, probabilities=probabilities
         )

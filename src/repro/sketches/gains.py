@@ -147,10 +147,6 @@ class SketchGainEngine:
         self._bonus_arr = None
         self._plan = None
 
-    def estimated_counts(self) -> "list[int] | list[float]":
-        """The ``nreach`` estimates the gain formula consumes."""
-        return self._nreach
-
     def gains_ids(self, filter_ids=()) -> "list[int] | list[float]":
         """Estimated ``I(v | A)`` for every node under filter set ``A``.
 

@@ -87,7 +87,7 @@ def test_generate_is_seed_reproducible(tmp_path):
 def test_serve_subcommand_parses():
     parser = build_parser()
     args = parser.parse_args([
-        "serve", "--port", "0", "--workers", "2", "--pool", "thread",
+        "serve", "--port", "0", "--workers", "2",
         "--cache-entries", "16", "--preload", "fig1",
     ])
     assert args.func.__name__ == "_cmd_serve"

@@ -315,16 +315,13 @@ def test_sampled_queries_match_per_world_oracle(case, mechanism):
 
 
 # ----------------------------------------------------------------------
-# Blocked reachability warm: bit-equality for every engine × block ×
-# worker combination (the out-of-core nreach sweep's contract).
+# Blocked reachability warm: bit-equality for every engine × block
+# combination (the out-of-core nreach sweep's contract).
 # ----------------------------------------------------------------------
 
 #: Block sizes straddling the lane-word boundaries: single-lane, partial
 #: word, exact word, word+1, and larger-than-every-corpus-source-set.
 REACH_BLOCKS = (1, 3, 64, 65, 1000)
-
-#: Worker counts the sharded reduce is fuzzed at.
-REACH_WORKERS = (1, 2, 4)
 
 
 def _numpy_or_none():
@@ -379,21 +376,6 @@ def _numpy_plane_counts(compiled, block: int) -> "list[int] | None":
     ).tolist()
 
 
-def _sharded_plane_counts(np, compiled, block: int, workers: int):
-    """The sharded engine's counts at ``block`` over ``workers``."""
-    from repro.propagation.reach import (
-        _sharded_reach_counts,
-        _sweep_tables,
-        _swept_sources,
-    )
-
-    tables = _sweep_tables(np, compiled)
-    sources, first_levels = _swept_sources(np, tables, compiled.source_ids)
-    return _sharded_reach_counts(
-        np, tables, sources, first_levels, block, workers
-    ).tolist()
-
-
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
 @pytest.mark.parametrize("block", REACH_BLOCKS)
 def test_blocked_reach_counts_bit_identical_across_blocks(case, block):
@@ -410,24 +392,6 @@ def test_blocked_reach_counts_bit_identical_across_blocks(case, block):
     plane = _numpy_plane_counts(compiled, block)
     if plane is not None:
         assert plane == monolithic
-
-
-@pytest.mark.parametrize("workers", REACH_WORKERS)
-def test_sharded_reach_counts_bit_identical_across_workers(workers):
-    np = _numpy_or_none()
-    if np is None:
-        pytest.skip("sharding is the NumPy engine's axis")
-    from repro.graphs.compiled import packed_reach_counts
-
-    for case in CASES:
-        graph = case_graph(case)
-        compiled = graph.compiled()
-        if not compiled.source_ids:
-            continue
-        sharded = _sharded_plane_counts(np, compiled, 2, workers)
-        assert sharded == packed_reach_counts(compiled), (
-            f"{case.name}: sharded counts diverged at {workers} workers"
-        )
 
 
 def test_warm_reach_counts_caches_and_matches_backends():
@@ -492,8 +456,7 @@ def _reach_edge_graph(case: str) -> CGraph:
 
 @pytest.mark.parametrize("case", REACH_EDGE_CASES)
 @pytest.mark.parametrize("block", REACH_BLOCKS)
-@pytest.mark.parametrize("workers", (1, 2))
-def test_reach_counts_on_sources_the_corpus_never_draws(case, block, workers):
+def test_reach_counts_on_sources_the_corpus_never_draws(case, block):
     from repro.graphs.compiled import (
         blocked_reach_counts,
         packed_reach_counts,
@@ -506,16 +469,10 @@ def test_reach_counts_on_sources_the_corpus_never_draws(case, block, workers):
     expected = _oracle_reach_counts(graph)
     assert packed_reach_counts(compiled) == expected
     assert blocked_reach_counts(compiled, block) == expected
-    np = _numpy_or_none()
-    if np is not None:
-        if workers == 1:
-            plane = _numpy_plane_counts(compiled, block)
-        else:
-            plane = _sharded_plane_counts(np, compiled, block, workers)
+    plane = _numpy_plane_counts(compiled, block)
+    if plane is not None:
         assert plane == expected
-    assert (
-        warm_reach_counts(compiled, block=block, workers=workers) == expected
-    )
+    assert warm_reach_counts(compiled, block=block) == expected
 
 
 class _NoBitwiseCount:
@@ -593,6 +550,4 @@ def test_reach_tally_folds_before_it_wraps(block, monkeypatch):
         compiled = graph.compiled()
         expected = _oracle_reach_counts(graph)
         assert blocked_reach_counts(compiled, block) == expected
-        assert reach.warm_reach_counts(
-            compiled, block=block, workers=1
-        ) == expected
+        assert reach.warm_reach_counts(compiled, block=block) == expected

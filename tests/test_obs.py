@@ -26,7 +26,6 @@ from repro.obs.instrument import (
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     REGISTRY,
-    Counter,
     MetricsRegistry,
 )
 from repro.obs.trace import (
@@ -432,7 +431,7 @@ def test_cli_trace_flag_does_not_leak_enabled_state(capsys):
     assert not TRACER.enabled
 
 
-def _check_warm_reach_record(workers: int, engine: str) -> None:
+def _check_warm_reach_record(engine: str) -> None:
     """Warm a graph with 100 sink sources; check the span and counter."""
     from repro.graphs.cgraph import CGraph
     from repro.graphs.compiled import packed_reach_counts
@@ -451,7 +450,7 @@ def _check_warm_reach_record(workers: int, engine: str) -> None:
     before = counter.value()
     TRACER.enable()
     with TRACER.trace(trace_id="t-warm-reach") as trace:
-        counts = warm_reach_counts(compiled, block=64, workers=workers)
+        counts = warm_reach_counts(compiled, block=64)
     (record,) = trace.roots
     swept = 700
     blocks = -(-swept // 64)
@@ -459,12 +458,12 @@ def _check_warm_reach_record(workers: int, engine: str) -> None:
     assert {
         key: record.attrs[key] for key in ("engine", "swept_sources", "blocks")
     } == {"engine": engine, "swept_sources": swept, "blocks": blocks}
+    assert "workers" not in record.attrs
     assert counter.value() == before + blocks
     assert counts == packed_reach_counts(compiled)
 
 
-@pytest.mark.parametrize("workers", (1, 2))
-def test_warm_reach_span_and_counter_report_swept_blocks(workers):
+def test_warm_reach_span_and_counter_report_swept_blocks():
     """Sink sources never enter a block: the ``warm.reach`` span and
     ``fp_warm_reach_blocks_total`` both count the blocks swept."""
     try:
@@ -472,17 +471,17 @@ def test_warm_reach_span_and_counter_report_swept_blocks(workers):
     except ImportError:
         engine = "python"
     else:
-        engine = "sharded" if workers > 1 else "numpy"
-    _check_warm_reach_record(workers, engine)
+        engine = "numpy"
+    _check_warm_reach_record(engine)
 
 
 def test_warm_reach_python_engine_reports_swept_blocks(monkeypatch):
     """The pure-python engine skips sink sources too, so its span and
-    counter report the same blocks as the NumPy engines."""
+    counter report the same blocks as the NumPy engine."""
     from repro.propagation import reach
 
     monkeypatch.setattr(reach, "_numpy_or_none", lambda: None)
-    _check_warm_reach_record(1, "python")
+    _check_warm_reach_record("python")
 
 
 @pytest.mark.parametrize(

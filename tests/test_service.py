@@ -91,6 +91,25 @@ def test_store_register_edges_roundtrip_digest(tmp_path):
     assert re_entry.digest == entry.digest
 
 
+def test_register_edges_keeps_no_upload_text():
+    """An upload is held once, as tables: the entry's spec keeps no copy
+    of the text, and its public form is a copy of the stored spec."""
+    store = GraphStore(warm_backends=False)
+    entry, created = store.register_edges(
+        "s a\ns b\na c\nb c\n", sources=["s"], prepare=True, initiator="s"
+    )
+    assert created
+    assert "text" not in entry.spec
+    public = {
+        "kind": "edges", "sources": ["s"], "prepare": True, "initiator": "s",
+    }
+    listed = entry.describe_payload()["spec"]
+    assert listed == public
+    listed["kind"] = "dataset"
+    listed["sources"].append("a")
+    assert entry.describe_payload()["spec"] == public
+
+
 # ----------------------------------------------------------------------
 # PlacementCache
 # ----------------------------------------------------------------------
@@ -411,33 +430,13 @@ def test_app_healthz_and_algorithms(app):
     assert health["graphs"] == 1
     assert health["cache"]["entries"] == 1
     assert health["jobs"]["done"] == 1
+    assert health["pool"] == {"workers": 2, "world_workers": 1}
     status, catalog = app.handle_algorithms()
     assert status == 200
     names = {row["name"] for row in catalog["algorithms"]}
     assert {"G_All", "G_Max", "Rand_K"} <= names
     g_all = next(r for r in catalog["algorithms"] if r["name"] == "G_All")
     assert g_all["lazy_capable"] and g_all["deterministic"]
-
-
-def test_app_process_pool_matches_thread_pool():
-    thread_app = small_app()
-    process_app = small_app(pool="process", workers=1)
-    try:
-        body = {"algorithm": "G_All", "k": 3, "backend": "python"}
-        d1 = thread_app.store.register_dataset("fig10")[0].digest
-        d2 = process_app.store.register_dataset("fig10")[0].digest
-        assert d1 == d2
-        status1, doc1 = thread_app.place_sync({**body, "graph": d1})
-        status2, doc2 = process_app.place_sync({**body, "graph": d2})
-        assert status1 == status2 == 200
-        assert doc1["result"] == doc2["result"]
-        # the process-pool answer was cached identically
-        status3, doc3 = process_app.handle_placement({**body, "graph": d2})
-        assert doc3["cache"]["hit"] is True
-        assert doc3["result"] == doc1["result"]
-    finally:
-        thread_app.close()
-        process_app.close()
 
 
 def test_service_bench_scenarios_run():
