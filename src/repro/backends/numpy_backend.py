@@ -5,10 +5,12 @@ Strategy
 The exact engine walks the topological order node by node in Python.
 This backend reuses the **shared compiled view**'s levelization
 (:meth:`repro.graphs.cgraph.CGraph.compiled`: level = longest path from
-any root, so every edge crosses strictly upward), adapts its CSR arrays
-to ndarrays once per graph, groups each level's edges for
-``np.add.reduceat`` segment sums, and then answers every deterministic
-query with **two** 1-D sweeps, whatever the source count:
+any root, so every edge crosses strictly upward) and addresses nodes by
+their *position* in ``topo_order``, which runs by ``(depth, id)``: each
+level is one contiguous slice of positions.  The plan keeps two pull
+tables over those positions, in-edges grouped by destination and
+out-edges grouped by source, and answers every deterministic query
+with **two** 1-D sweeps, whatever the source count:
 
 * **Forward T pass** — the aggregate totals ``T(v) = Σ_s ψ_s(v)``.  An
   edge ``(u, v)`` carries ``E(u) = (nreach(u) if u ∈ A else T(u)) +
@@ -16,19 +18,34 @@ query with **two** 1-D sweeps, whatever the source count:
   receives, and ``nreach(u)`` — the number of sources reaching ``u`` —
   does not depend on the filters.  It is the packed popcount of the
   blocked reachability warm (:mod:`repro.propagation.reach`), run once
-  per graph.
+  per graph.  Each level pulls its in-edges' emissions with one gather
+  and one ``np.add.reduceat`` into its own slice of ``T``.
 * **Backward W pass** — the absorbing suffix
   ``W(v) = Σ_{u ∈ children(v)} (1 + [u ∉ A]·W(u))``, one gather and
-  segment sum per level in reverse.
+  segment sum per level in reverse, over the out-edges of the level's
+  nodes that have children (sinks keep ``W = 0``).
 * ``I(v | A) = (T(v) − nreach(v)) · W(v)`` and ``I'(v) = T(v) · dout(v)``
-  are then elementwise products.  Adding filters never cuts a source
-  off, so ``Σ_s max(ψ_s(v) − 1, 0) = T(v) − nreach(v)`` for every
-  filter set.
+  are then elementwise products, gathered back to id order once per
+  call.  Adding filters never cuts a source off, so
+  ``Σ_s max(ψ_s(v) − 1, 0) = T(v) − nreach(v)`` for every filter set.
+
+Both sweeps **restart**.  The plan keeps the filter mask and the rows of
+its last ``T`` sweep, and likewise of its last ``W`` sweep.  ``T(v)``
+depends only on the filters above ``v`` and ``W(v)`` only on those
+below, so a call re-sweeps ``T`` only on the levels deeper than the
+shallowest position whose filter bit changed, and ``W`` only on the
+levels shallower than the deepest one; an unchanged mask reuses the
+stored rows.  A greedy step that adds one filter at depth ``d`` thus
+re-sweeps ``T`` below ``d`` and ``W`` above it.  Stored rows are
+read-only and replaced whole under a lock, so threads sharing a plan
+always restart from a consistent pair.
 
 Sampled models add a world axis: the batched sampled sweeps keep one
 ``ψ`` row per (world, item), ``(trials · S, n)``, and one ``W`` row per
 world.  Those rows, and the sampled probe's float64 ``(S, n)`` level-sum
-bound, are the module's only per-source arrays.
+bound, are the module's only per-source arrays.  They push over per-level
+edge groupings (:class:`_Level`) that a plan builds only on its first
+sampled use, and they do not restart.
 
 Tiers and sessions
 ------------------
@@ -58,7 +75,7 @@ feeds the bounds to the shared dtype-probe ladder
   unsafe) but every probe value is finite.  ``T`` and ``W`` each take
   their own :func:`~repro.backends.probe.limb_count` from their bound,
   and the sweeps carry them as ``(k, n)`` int64 arrays of
-  base-``2**32`` limbs, carrying over each level's destinations.  The
+  base-``2**32`` limbs, carrying over each level's new sums.  The
   products ``(T − nreach)·W``, ``T·dout`` and ``T·weight`` are taken on
   Python ints built from the limbs (``hi << 32`` plus ``lo``), so the
   answers stay exact while the sweeps stay in numpy.
@@ -76,6 +93,8 @@ route.
 
 from __future__ import annotations
 
+import threading
+from bisect import bisect_right
 from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any, Hashable
@@ -129,7 +148,29 @@ def _count_representation(site: str, representation: str) -> None:
     ).inc(site=site, representation=representation)
 
 
+def _count_levels(quantity: str, swept: int, reused: int) -> None:
+    """Record one sweep call's levels in ``fp_sweep_levels_total``."""
+    from repro.obs.metrics import REGISTRY
+
+    family = REGISTRY.counter(
+        "fp_sweep_levels_total",
+        "Levels of the numpy T and W sweeps, re-swept or reused from "
+        "the plan's previous call.",
+        labels=("quantity", "outcome"),
+    )
+    family.inc(swept, quantity=quantity, outcome="swept")
+    family.inc(reused, quantity=quantity, outcome="reused")
+
+
 _LIMB_MASK = (1 << LIMB_BITS) - 1
+
+
+def _intp(np: Any, table: Any) -> Any:
+    """A compiled table as an intp ndarray (``fromiter`` reads a Python
+    list faster than ``np.array``; ndarrays and memmaps pass through)."""
+    if isinstance(table, (list, tuple)):
+        return np.fromiter(table, dtype=np.intp, count=len(table))
+    return np.asarray(table, dtype=np.intp)
 
 
 def _carry(limbs: list) -> None:
@@ -137,9 +178,9 @@ def _carry(limbs: list) -> None:
 
     Every row but the top ends below ``2**32``; what it held above moves
     up one limb.  Before the carry a lower row holds at most
-    (in-degree + 1)·``2**32`` — a level's sum of emissions of at most
-    ``2**32`` each, plus what the row already held — far below int64's
-    ceiling; the probe bounds the top row.
+    degree·``2**32`` — a node's sum over its in- or out-edges of values
+    of at most ``2**32`` each — far below int64's ceiling; the probe
+    bounds the top row.
     """
     for low, high in zip(limbs, limbs[1:]):
         high += low >> LIMB_BITS
@@ -162,7 +203,8 @@ def _limb_ints(limbs: Any) -> list[int]:
 
 @dataclass
 class _Level:
-    """One level of the levelized DAG plus its outgoing edge bundle.
+    """One level of the levelized DAG plus its outgoing edge bundle, in
+    the push form the sampled sweeps scatter with (ids, not positions).
 
     The level's edges are stored twice, pre-grouped for the two sweep
     directions so both can scatter with ``np.add.reduceat`` (exact int64
@@ -207,12 +249,13 @@ class _Level:
 class _Plan:
     """Per-graph adapter over the shared compiled view.
 
-    Since the compile-once refactor this is a *thin* layer: the out-CSR
-    offsets, out-degrees, level partition and source indices are all
-    views of :class:`~repro.graphs.compiled.CompiledGraph` data
-    (converted to ndarrays once); the only genuinely backend-private
-    state is the per-level ``reduceat`` edge groupings and the overflow
-    probe's bounds.
+    A *thin* layer: the level partition, degrees and source indices are
+    :class:`~repro.graphs.compiled.CompiledGraph` data, converted to
+    ndarrays once and laid out by topological position (``position[v]``
+    is node ``v``'s index in ``compiled.topo_order``, and level ``L``
+    holds positions ``level_starts[L]:level_starts[L + 1]``).  The
+    backend-private state is the two pull tables, the overflow probe's
+    bounds and each sweep's last ``(mask, rows)``.
     """
 
     # The plan references the CompiledGraph it adapts — safe with the
@@ -225,20 +268,39 @@ class _Plan:
     node_list: tuple[Node, ...]
     sources: tuple[Node, ...]
     compiled: Any = None
-    levels: list[_Level] = field(default_factory=list)
-    out_degree: Any = None  # int64[n]
-    #: Out-CSR segment starts — node v's out-edges are the forward-CSR
-    #: positions ``out_offsets[v]:out_offsets[v+1]`` (the sampled
-    #: sweeps' per-world live out-degrees).
-    out_offsets: Any = None  # intp[n+1]
-    #: 1 on source columns, 0 elsewhere — the per-node emission bonus of
-    #: the T sweep (a designated source emits its own item on top of
+    #: ``position[v]``: node ``v``'s index in ``compiled.topo_order`` —
+    #: the one gather that takes a positional row back to id order.
+    position: Any = None  # intp[n]
+    #: Level partition of the positions (plain ints).
+    level_starts: list[int] = field(default_factory=list)
+    #: T pull table, per level: ``(a, b, src, seg)`` — the level's
+    #: positions ``a:b``, the positions of their in-edges' sources
+    #: grouped by destination, and the ``reduceat`` segment starts.
+    #: None for level 0, which has no in-edges; every deeper node has one.
+    t_levels: list = field(default_factory=list)
+    #: W pull table, per level: ``(kids, dst, seg)`` — the positions of
+    #: the level's nodes that have children (a slice when that is all of
+    #: them), the positions of their out-edges' targets grouped by
+    #: source, and the segment starts.  None for a level of sinks.
+    w_levels: list = field(default_factory=list)
+    out_degree: Any = None  # int64[n], by position
+    #: 1 on source positions, 0 elsewhere — the per-node emission bonus
+    #: of the T sweep (a designated source emits its own item on top of
     #: whatever it relays).
-    src_bonus: Any = None  # int64[n]
-    #: Lazily-built packed reachability counts (the T sweep's
-    #: per-graph constant): ``nreach[v]`` = number of sources reaching
-    #: ``v``, excluding ``v`` itself.  ``None`` until first needed.
+    src_bonus: Any = None  # int64[n], by position
+    #: Lazily-built packed reachability counts by position (the T
+    #: sweep's per-graph constant): the number of sources reaching the
+    #: node, excluding itself.  ``None`` until first needed.
     nreach: Any = None  # int64[n] | None
+    #: The last T and W sweeps as ``(mask, rows)`` by position, both
+    #: read-only, or None before the first; each swap holds its lock.
+    t_last: Any = None
+    w_last: Any = None
+    t_lock: Any = field(default_factory=threading.Lock, repr=False)
+    w_lock: Any = field(default_factory=threading.Lock, repr=False)
+    #: The sampled sweeps' push groupings (by id), built on first
+    #: sampled use; deterministic plans never hold them.
+    levels: "list[_Level] | None" = None
     #: max over v of (Σ_s ψ_∅(v)) · W_∅(v) — bounds every gain/score.
     prod_bound: float = 0.0
     #: max over v of Σ_s ψ_∅(v) — bounds every per-node receipt total.
@@ -271,19 +333,29 @@ class _Plan:
     def n(self) -> int:
         return len(self.node_list)
 
+    @property
+    def num_levels(self) -> int:
+        return len(self.level_starts) - 1
+
+    def depth_at(self, position: int) -> int:
+        """The level holding ``position``."""
+        return bisect_right(self.level_starts, position) - 1
+
 
 @dataclass
 class _SampledState:
     """Per-(graph, model) adapter over the shared sampled worlds.
 
-    Holds the (trials × edges) live-edge masks pre-gathered per level in
-    both sweep groupings, plus the per-world live out-degrees and the
-    trials-aware overflow verdict.  The coin flips themselves live in
+    Holds the plan's push groupings, the (trials × edges) live-edge
+    masks pre-gathered per level in both of them, plus the per-world
+    live out-degrees and the trials-aware overflow verdict.  The coin
+    flips themselves live in
     :class:`repro.propagation.sampling.SampledWorlds` (shared with the
     python backend — same worlds, bit-identical results); this is only
     the ndarray view of them.
     """
 
+    levels: list  # the plan's _Level push groupings
     trials: int
     live_fwd: list  # per level: dtype[(trials, level_edges)], dst-grouped
     live_bwd: list  # per level: dtype[(trials, level_edges)], CSR order
@@ -361,11 +433,11 @@ class NumpyBackend(SampledEvaluationMixin):
         """Adapt the shared compiled view for the vectorized sweeps.
 
         All structure — CSR arrays, degrees, the level partition — comes
-        straight from :meth:`CGraph.compiled`; this method only converts
-        the tables to ndarrays and derives the per-level ``reduceat``
-        edge groupings the batched sweeps scatter with.  The former
-        private builder (dict walks, Kahn levelization, cycle check) is
-        gone: one graph, one plan.
+        straight from :meth:`CGraph.compiled`; this method converts the
+        tables to ndarrays, lays them out by topological position and
+        cuts the two pull tables into per-level slices, all vectorized:
+        the out-edges in position order give the W table, and one stable
+        sort of their targets gives the T table.
         """
         np = self._np
         compiled = graph.compiled()
@@ -375,25 +447,147 @@ class NumpyBackend(SampledEvaluationMixin):
             raise CyclicGraphError("graph contains a directed cycle")
         nodes = compiled.nodes
         n = compiled.n
-        index = compiled.index
         sources = tuple(nodes[i] for i in compiled.source_ids)
+        starts = [int(s) for s in compiled.level_offsets]
         plan = _Plan(
-            index=index, node_list=nodes, sources=sources, compiled=compiled
+            index=compiled.index,
+            node_list=nodes,
+            sources=sources,
+            compiled=compiled,
+            level_starts=starts,
         )
+        order = _intp(np, compiled.topo_order)
+        position = _intp(np, compiled.topo_index)
+        plan.position = position
+        out_degree = _intp(np, compiled.out_degree)[order]
+        plan.out_degree = out_degree.astype(np.int64)
+        plan.src_bonus = np.zeros(n, dtype=np.int64)
+        plan.src_bonus[position[_intp(np, compiled.source_ids)]] = 1
 
-        counts = np.array(compiled.out_degree, dtype=np.intp)
-        src = np.repeat(np.arange(n, dtype=np.intp), counts)
-        dst = np.array(compiled.out_targets, dtype=np.intp)
-        plan.out_degree = counts.astype(np.int64)
-        plan.out_offsets = np.array(compiled.out_offsets, dtype=np.intp)
+        # Out-edges in position order: node p's run is out_at[p]:out_at[p+1].
+        out_at = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(out_degree, out=out_at[1:])
+        m = int(out_at[-1])
+        edges = np.arange(m, dtype=np.intp) + np.repeat(
+            _intp(np, compiled.out_offsets)[order] - out_at[:-1], out_degree
+        )
+        dst = position[_intp(np, compiled.out_targets)[edges]]
+        del edges
+        # The same edges grouped by target position, sources ascending.
+        by_dst = stable_order(dst, n)
+        src = np.repeat(np.arange(n, dtype=np.intp), out_degree)[by_dst]
+        del by_dst
+        in_at = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(dst, minlength=n), out=in_at[1:])
 
+        has_kids = out_degree > 0
+        for lvl in range(plan.num_levels):
+            a, b = starts[lvl], starts[lvl + 1]
+            first = in_at[a]
+            plan.t_levels.append(
+                (a, b, src[first:in_at[b]], in_at[a:b] - first)
+                if lvl
+                else None
+            )
+            kids = a + np.flatnonzero(has_kids[a:b])
+            if not kids.size:
+                plan.w_levels.append(None)
+                continue
+            first = out_at[a]
+            segments = out_at[kids] - first
+            if kids.size == b - a:
+                kids = slice(a, b)
+            plan.w_levels.append((kids, dst[first:out_at[b]], segments))
+
+        self._probe_overflow(plan)
+        return plan
+
+    def _probe_overflow(self, plan: _Plan) -> None:
+        """Bound every representable quantity by one float64 ``A = ∅`` run."""
+        with self._np.errstate(over="ignore", invalid="ignore"):
+            self._probe_overflow_inner(plan)
+
+    def _probe_overflow_inner(self, plan: _Plan) -> None:
+        # float64 overflow to inf (and inf·0 = NaN) is the probe's expected
+        # saturation behavior — both force exact_only below.
+        #
+        # The probe runs the two pull sweeps in 1-D aggregate form: with
+        # A = ∅ each edge (u → v) emits T(u) + [u is a source] (a source's
+        # pinned own-item emission — ψ_u(u) = 0 in a DAG, so the bonus
+        # term is exactly the per-item origin pinning summed over items).
+        # O(n + m) resident: no (num_sources, n) ψ matrix, which at the
+        # scale rungs (S ≈ 0.3n) would dwarf the graph.
+        np = self._np
+        n = plan.n
+        totals = np.zeros(n, dtype=np.float64)
+        bonus = plan.src_bonus.astype(np.float64)
+        emit = bonus.copy()
+        for lvl in plan.t_levels[1:]:
+            a, b, src, segments = lvl
+            level_sum = np.add.reduceat(emit[src], segments)
+            totals[a:b] = level_sum
+            emit[a:b] = level_sum + bonus[a:b]
+        w = np.zeros(n, dtype=np.float64)
+        contrib = np.ones(n, dtype=np.float64)
+        bwd_levelsum = 0.0
+        for lvl in reversed(plan.w_levels):
+            if lvl is None:
+                continue
+            kids, dst, segments = lvl
+            edge_contrib = contrib[dst]
+            bwd_levelsum = max(bwd_levelsum, float(edge_contrib.sum()))
+            level_sum = np.add.reduceat(edge_contrib, segments)
+            w[kids] = level_sum
+            contrib[kids] = 1.0 + level_sum
+        # fwd_levelsum_bound needs per-source probe rows; it stays None
+        # until _fwd_levelsum — the sampled-state builder's lazy path.
+        plan.bwd_levelsum_bound = bwd_levelsum
+        plan.psi_bound = float(totals.max()) if n else 0.0
+        plan.w_bound = float(w.max()) if n else 0.0
+        plan.prod_bound = float((totals * w).max()) if n else 0.0
+        # Φ itself needs no bound: total_receipts sums Python ints from
+        # .tolist(), so only per-entry/per-node int64 values can overflow,
+        # and those are all covered by psi_bound (receipts) or prod_bound
+        # (gains and simplified-impact scores, since W(v) ≥ dout(v)).
+        # Non-finite bounds mean the probe itself overflowed float64 —
+        # including the inf·0 = NaN case from a source-unreachable region
+        # with astronomical W.  The shared ladder treats NaN and inf as
+        # overflow (NaN comparisons are always False, so they must never
+        # be compared directly).
+        verdict = pick_representation(plan.psi_bound, plan.prod_bound)
+        plan.exact_only = verdict.exact_only
+        plan.representation = verdict.representation
+        if plan.exact_only:
+            # int64 is unsafe: T and W each get the limbs their own
+            # bound needs; a non-finite one leaves only the exact engine.
+            plan.t_limbs = limb_count(plan.psi_bound)
+            plan.w_limbs = limb_count(plan.w_bound)
+            if plan.t_limbs is not None and plan.w_limbs is not None:
+                plan.representation = "limbs"
+
+    def _push_levels(self, plan: _Plan) -> list[_Level]:
+        """The sampled sweeps' per-level push groupings (built on first
+        sampled use and cached on the plan)."""
+        if plan.levels is None:
+            plan.levels = self._build_push_levels(plan.compiled)
+        return plan.levels
+
+    def _build_push_levels(self, compiled: Any) -> list[_Level]:
+        """Group each level's out-edges by destination and by source,
+        in node ids, for the sampled sweeps' ``reduceat`` scatters."""
+        np = self._np
+        n = compiled.n
+        src = np.repeat(
+            np.arange(n, dtype=np.intp), _intp(np, compiled.out_degree)
+        )
+        dst = _intp(np, compiled.out_targets)
         num_levels = compiled.num_levels
-        depth = np.array(compiled.depth, dtype=np.intp)
+        depth = _intp(np, compiled.depth)
         # compiled.topo_order is sorted by (depth, id) — exactly the
         # stable by-level node grouping, with the level partition already
         # computed.
-        nodes_by_level = np.array(compiled.topo_order, dtype=np.intp)
-        level_starts = np.array(compiled.level_offsets, dtype=np.intp)
+        nodes_by_level = _intp(np, compiled.topo_order)
+        level_starts = _intp(np, compiled.level_offsets)
         local_pos = np.empty(n, dtype=np.intp)
         local_pos[nodes_by_level] = (
             np.arange(n, dtype=np.intp) - level_starts[depth[nodes_by_level]]
@@ -403,7 +597,7 @@ class NumpyBackend(SampledEvaluationMixin):
         edge_level_starts = np.searchsorted(
             edge_level[edges_by_level], np.arange(num_levels + 1)
         )
-        source_idx = np.array(compiled.source_ids, dtype=np.intp)
+        source_idx = _intp(np, compiled.source_ids)
         # Sampled-ψ row of the source whose column this is, −1 elsewhere.
         col_to_row = np.full(n, -1, dtype=np.intp)
         col_to_row[source_idx] = np.arange(source_idx.size, dtype=np.intp)
@@ -413,7 +607,6 @@ class NumpyBackend(SampledEvaluationMixin):
         origin_starts = np.searchsorted(
             depth[source_idx][origins_by_depth], np.arange(num_levels + 1)
         )
-        plan.src_bonus = (col_to_row >= 0).astype(np.int64)
 
         def group_starts(sorted_keys: Any) -> Any:
             """Segment starts of equal-key runs in an already-sorted array."""
@@ -423,6 +616,7 @@ class NumpyBackend(SampledEvaluationMixin):
                 )
             )
 
+        levels = []
         for lvl in range(num_levels):
             lvl_nodes = nodes_by_level[level_starts[lvl]:level_starts[lvl + 1]]
             eids = edges_by_level[
@@ -453,7 +647,7 @@ class NumpyBackend(SampledEvaluationMixin):
             origin_rows = origins_by_depth[
                 origin_starts[lvl]:origin_starts[lvl + 1]
             ]
-            plan.levels.append(
+            levels.append(
                 _Level(
                     nodes=lvl_nodes,
                     fwd_src_local=fwd_src_local,
@@ -471,73 +665,7 @@ class NumpyBackend(SampledEvaluationMixin):
                     fwd_origin_row=fwd_origin_row,
                 )
             )
-
-        self._probe_overflow(plan)
-        return plan
-
-    def _probe_overflow(self, plan: _Plan) -> None:
-        """Bound every representable quantity by one float64 ``A = ∅`` run."""
-        with self._np.errstate(over="ignore", invalid="ignore"):
-            self._probe_overflow_inner(plan)
-
-    def _probe_overflow_inner(self, plan: _Plan) -> None:
-        # float64 overflow to inf (and inf·0 = NaN) is the probe's expected
-        # saturation behavior — both force exact_only below.
-        #
-        # The probe runs entirely in 1-D aggregate form: with A = ∅ each
-        # edge (u → v) emits T(u) + [u is a source] (a source's pinned
-        # own-item emission — ψ_u(u) = 0 in a DAG, so the bonus term is
-        # exactly the per-item origin pinning summed over items), and
-        # T(v) = Σ_s ψ_s(v) accumulates over levels.  O(n + m) resident
-        # instead of the former (num_sources, n) ψ matrix, which at the
-        # scale rungs (S ≈ 0.3n) was half the superquadratic warm wall.
-        np = self._np
-        n = plan.n
-        totals = np.zeros(n, dtype=np.float64)
-        bonus = plan.src_bonus.astype(np.float64)
-        for lvl in plan.levels:
-            if not lvl.has_edges:
-                continue
-            src = lvl.fwd_src_global
-            emit = totals[src] + bonus[src]
-            totals[lvl.fwd_uniq_dst] += np.add.reduceat(
-                emit, lvl.fwd_offsets
-            )
-        w = np.zeros(n, dtype=np.float64)
-        bwd_levelsum = 0.0
-        for lvl in reversed(plan.levels):
-            if not lvl.has_edges:
-                continue
-            contrib = 1.0 + w[lvl.bwd_dst]
-            bwd_levelsum = max(bwd_levelsum, float(contrib.sum()))
-            w[lvl.bwd_uniq_src] += np.add.reduceat(
-                contrib, lvl.bwd_offsets
-            )
-        # fwd_levelsum_bound needs per-source probe rows; it stays None
-        # until _fwd_levelsum — the sampled-state builder's lazy path.
-        plan.bwd_levelsum_bound = bwd_levelsum
-        plan.psi_bound = float(totals.max()) if n else 0.0
-        plan.w_bound = float(w.max()) if n else 0.0
-        plan.prod_bound = float((totals * w).max()) if n else 0.0
-        # Φ itself needs no bound: total_receipts sums Python ints from
-        # .tolist(), so only per-entry/per-node int64 values can overflow,
-        # and those are all covered by psi_bound (receipts) or prod_bound
-        # (gains and simplified-impact scores, since W(v) ≥ dout(v)).
-        # Non-finite bounds mean the probe itself overflowed float64 —
-        # including the inf·0 = NaN case from a source-unreachable region
-        # with astronomical W.  The shared ladder treats NaN and inf as
-        # overflow (NaN comparisons are always False, so they must never
-        # be compared directly).
-        verdict = pick_representation(plan.psi_bound, plan.prod_bound)
-        plan.exact_only = verdict.exact_only
-        plan.representation = verdict.representation
-        if plan.exact_only:
-            # int64 is unsafe: T and W each get the limbs their own
-            # bound needs; a non-finite one leaves only the exact engine.
-            plan.t_limbs = limb_count(plan.psi_bound)
-            plan.w_limbs = limb_count(plan.w_bound)
-            if plan.t_limbs is not None and plan.w_limbs is not None:
-                plan.representation = "limbs"
+        return levels
 
     def _fwd_levelsum(self, plan: _Plan) -> float:
         """The per-item forward level-sum bound (lazy; cached on the plan).
@@ -556,7 +684,7 @@ class NumpyBackend(SampledEvaluationMixin):
                     (len(plan.sources), plan.n), dtype=np.float64
                 )
                 fwd_levelsum = 0.0
-                for lvl in plan.levels:
+                for lvl in self._push_levels(plan):
                     if not lvl.has_edges:
                         continue
                     emit = psi[:, lvl.nodes]  # fancy index: a fresh copy
@@ -577,21 +705,16 @@ class NumpyBackend(SampledEvaluationMixin):
     # Vectorized sweeps
     # ------------------------------------------------------------------
 
-    def _filter_mask(self, plan: _Plan, filters: Collection[Node]) -> Any:
+    def _filter_ids(self, plan: _Plan, filters: Collection[Node]) -> Any:
+        """The interned ids of already validated filter nodes."""
         np = self._np
-        mask = np.zeros(plan.n, dtype=bool)
-        mask[
-            np.fromiter(
-                map(plan.index.__getitem__, filters),
-                dtype=np.intp,
-                count=len(filters),
-            )
-        ] = True
-        return mask
+        return np.fromiter(
+            map(plan.index.__getitem__, filters),
+            dtype=np.intp,
+            count=len(filters),
+        )
 
-    def _mask_from_ids(self, plan: _Plan, filter_ids: Iterable[int]) -> Any:
-        np = self._np
-        mask = np.zeros(plan.n, dtype=bool)
+    def _checked_ids(self, plan: _Plan, filter_ids: Iterable[int]) -> list:
         ids = list(filter_ids)
         if ids:
             # Negative ids would wrap (ndarray indexing) and silently
@@ -600,69 +723,111 @@ class NumpyBackend(SampledEvaluationMixin):
                 from repro.exceptions import MissingNodeError
 
                 raise MissingNodeError(min(ids) if min(ids) < 0 else max(ids))
-            mask[ids] = True
+        return ids
+
+    def _mask(self, plan: _Plan, slots: Any) -> Any:
+        """A boolean row over the plan's ``n`` slots, True at ``slots``:
+        node ids for the sampled sweeps, positions for the others."""
+        mask = self._np.zeros(plan.n, dtype=bool)
+        mask[slots] = True
         return mask
 
+    def _topo_mask(self, plan: _Plan, ids: Any) -> Any:
+        """The filter mask by topological position."""
+        return self._mask(plan, plan.position[ids])
+
     def _gains_list(self, plan: _Plan, mask: Any) -> list[int]:
-        """``I(v | A) = (T − nreach) · W`` as exact ints for a prepared
-        boolean mask: an int64 product when the probe allows, else
+        """``I(v | A) = (T − nreach) · W`` in id order, as exact ints, for
+        a positional mask: an int64 product when the probe allows, else
         Python-int products of the limb sweeps."""
+        np = self._np
         w = self._suffix_limbs(plan, mask)
-        surplus = self._totals_limbs(plan, mask)
-        surplus[0] -= self._nreach(plan)
+        totals = self._totals_limbs(plan, mask)
+        nreach = self._nreach(plan)
+        ids = plan.position
         if plan.exact_only:
-            w[:, mask] = 0
+            surplus = totals.copy()
+            surplus[0] -= nreach
+            open_w = np.where(mask, 0, w)
             return [
-                s * x for s, x in zip(_limb_ints(surplus), _limb_ints(w))
+                s * x
+                for s, x in zip(
+                    _limb_ints(surplus[:, ids]), _limb_ints(open_w[:, ids])
+                )
             ]
-        gains = surplus[0] * w[0]
+        gains = (totals[0] - nreach) * w[0]
         gains[mask] = 0
-        return gains.tolist()
+        return gains[ids].tolist()
 
     def _impact_list(self, plan: _Plan, mask: Any) -> list[int]:
-        """``I'(v) = T(v) · dout(v)`` as exact ints."""
+        """``I'(v) = T(v) · dout(v)`` in id order, as exact ints."""
         totals = self._totals_limbs(plan, mask)
+        ids = plan.position
         if plan.exact_only:
             return [
                 t * d
-                for t, d in zip(_limb_ints(totals), plan.out_degree.tolist())
+                for t, d in zip(
+                    _limb_ints(totals[:, ids]),
+                    plan.out_degree[ids].tolist(),
+                )
             ]
-        return (totals[0] * plan.out_degree).tolist()
+        return (totals[0] * plan.out_degree)[ids].tolist()
 
     def _suffix_limbs(self, plan: _Plan, mask: Any) -> Any:
-        """``W`` (item-independent) in one backward sweep.
+        """``W`` (item-independent) by position, restarted from the
+        plan's last ``W`` sweep.
 
         Shape ``(k, n)``: ``k = plan.w_limbs`` base-``2**32`` limbs, one
         int64 row each (``k = 1`` on int64 plans).  Each node's
         contribution to its parents, ``C(u) = 1 + [u ∉ A] · W(u)``, is
-        kept per node: ``W(u)`` is final once ``u``'s level is swept (its
-        children all sit deeper), so each level stores its sources' ``C``
-        once and every shallower level gathers it edge by edge — one
-        gather and one ``reduceat`` per limb and level.  Sinks contribute
-        exactly one, the initial value.
+        kept per position: ``W(u)`` is final once ``u``'s level is swept
+        (its children all sit deeper), so each level stores its nodes'
+        ``C`` once and every shallower level gathers it edge by edge —
+        one gather and one ``reduceat`` per limb and level.  Sinks
+        contribute exactly one.
+
+        ``W`` on a level sees only the filters deeper than it, so the
+        last sweep's rows stay right from the level of the deepest
+        position whose bit differs from ``mask`` down; only the levels
+        above it are swept, from ``C`` recomputed over all positions
+        with ``mask``.  The returned rows are the plan's
+        stored state: read-only.
         """
         np = self._np
-        k = plan.w_limbs
-        w = np.zeros((k, plan.n), dtype=np.int64)
-        contrib = np.zeros((k, plan.n), dtype=np.int64)
-        contrib[0] = 1
-        w_rows, c_rows = list(w), list(contrib)
-        for lvl in reversed(plan.levels):
-            if not lvl.has_edges:
-                continue
-            src = lvl.bwd_uniq_src
-            sums = [
-                np.add.reduceat(row[lvl.bwd_dst], lvl.bwd_offsets)
-                for row in c_rows
-            ]
-            _carry(sums)
-            closed = mask[src]
-            for w_row, level_sum in zip(w_rows, sums):
-                w_row[src] = level_sum
-                level_sum[closed] = 0
-            sums[0] += 1
-            for c_row, level_sum in zip(c_rows, sums):
-                c_row[src] = level_sum
+        with plan.w_lock:
+            last = plan.w_last
+        stop = plan.num_levels
+        if last is None:
+            w = np.zeros((plan.w_limbs, plan.n), dtype=np.int64)
+        else:
+            changed = mask != last[0]
+            if not changed.any():
+                _count_levels("W", 0, stop)
+                return last[1]
+            stop = plan.depth_at(plan.n - 1 - int(changed[::-1].argmax()))
+            w = last[1].copy() if stop else last[1]
+        if stop:
+            contrib = np.where(mask, 0, w)
+            contrib[0] += 1
+            w_rows, c_rows = list(w), list(contrib)
+            for lvl in reversed(plan.w_levels[:stop]):
+                if lvl is None:
+                    continue
+                kids, dst, segments = lvl
+                sums = [np.add.reduceat(row[dst], segments) for row in c_rows]
+                _carry(sums)
+                closed = mask[kids]
+                for w_row, level_sum in zip(w_rows, sums):
+                    w_row[kids] = level_sum
+                    level_sum[closed] = 0
+                sums[0] += 1
+                for c_row, level_sum in zip(c_rows, sums):
+                    c_row[kids] = level_sum
+        w.flags.writeable = False
+        mask.flags.writeable = False
+        with plan.w_lock:
+            plan.w_last = (mask, w)
+        _count_levels("W", stop, plan.num_levels - stop)
         return w
 
     # ------------------------------------------------------------------
@@ -670,7 +835,8 @@ class NumpyBackend(SampledEvaluationMixin):
     # ------------------------------------------------------------------
 
     def _nreach(self, plan: _Plan) -> Any:
-        """The (cached) packed reachability counts — int64, shape ``(n,)``.
+        """The (cached) packed reachability counts by position — int64,
+        shape ``(n,)``.
 
         Routed through the blocked out-of-core warm
         (:func:`repro.propagation.reach.warm_reach_counts`, looked up on
@@ -682,13 +848,15 @@ class NumpyBackend(SampledEvaluationMixin):
         if plan.nreach is None:
             from repro.propagation import reach
 
-            plan.nreach = self._np.asarray(
-                reach.warm_reach_counts(plan.compiled), dtype=self._np.int64
-            )
+            np = self._np
+            nreach = np.empty(plan.n, dtype=np.int64)
+            nreach[plan.position] = reach.warm_reach_counts(plan.compiled)
+            plan.nreach = nreach
         return plan.nreach
 
     def _totals_limbs(self, plan: _Plan, mask: Any) -> Any:
-        """Aggregate totals ``T(v) = Σ_s ψ_s(v)`` in one 1-D sweep.
+        """Aggregate totals ``T(v) = Σ_s ψ_s(v)`` by position, restarted
+        from the plan's last ``T`` sweep.
 
         Shape ``(k, n)``: ``k = plan.t_limbs`` base-``2**32`` limbs, one
         int64 row each (``k = 1`` on int64 plans).  Each edge ``(u, v)``
@@ -696,38 +864,53 @@ class NumpyBackend(SampledEvaluationMixin):
         [u is a source]`` — a filter forwards exactly one copy per item
         it receives (and its own item when it is also a source), so its
         emission is the per-graph constant ``nreach + bonus``.  ``E`` is
-        computed once per level node and gathered per edge; with more
-        than one limb, each level's destinations are carried after the
-        add.  Source-count-independent: the same two sweeps whether the
-        graph has 1 source or 10 000.
+        kept per position and gathered per in-edge; each level's sums
+        are carried before they land in its slice.
+        Source-count-independent: the same two sweeps whether the graph
+        has 1 source or 10 000.
+
+        ``T`` on a level sees only the filters shallower than it, so the
+        last sweep's rows stay right down to the level of the shallowest
+        position whose bit differs from ``mask``; only the levels below
+        it are swept, from ``E`` recomputed over all positions with
+        ``mask``.  The returned rows are the plan's
+        stored state: read-only.
         """
         np = self._np
-        k = plan.t_limbs
-        totals = np.zeros((k, plan.n), dtype=np.int64)
-        rows = list(totals)
-        low, high = rows[0], rows[1:]
-        nreach = self._nreach(plan)
-        bonus = plan.src_bonus
-        for lvl in plan.levels:
-            if not lvl.has_edges:
-                continue
-            nodes, dst = lvl.nodes, lvl.fwd_uniq_dst
-            closed = mask[nodes]
-            emit = np.where(closed, nreach[nodes], low[nodes]) + bonus[nodes]
-            level_sum = np.add.reduceat(emit[lvl.fwd_src_local], lvl.fwd_offsets)
-            if not high:
-                low[dst] += level_sum
-                continue
-            sums = [level_sum + low[dst]]
-            for row in high:
-                emit = np.where(closed, 0, row[nodes])
-                sums.append(
-                    np.add.reduceat(emit[lvl.fwd_src_local], lvl.fwd_offsets)
-                    + row[dst]
-                )
-            _carry(sums)
-            for row, level_sum in zip(rows, sums):
-                row[dst] = level_sum
+        with plan.t_lock:
+            last = plan.t_last
+        start = 0
+        if last is None:
+            totals = np.zeros((plan.t_limbs, plan.n), dtype=np.int64)
+        else:
+            changed = mask != last[0]
+            if not changed.any():
+                _count_levels("T", 0, plan.num_levels)
+                return last[1]
+            start = plan.depth_at(int(changed.argmax())) + 1
+            totals = last[1].copy() if start < plan.num_levels else last[1]
+        if start < plan.num_levels:
+            # A filter's emission is nreach + bonus whatever it receives.
+            lift = np.where(mask, self._nreach(plan), 0) + plan.src_bonus
+            emit = np.where(mask, 0, totals)
+            emit[0] += lift
+            rows, emit_rows = list(totals), list(emit)
+            for lvl in plan.t_levels[max(start, 1):]:
+                a, b, src, segments = lvl
+                sums = [
+                    np.add.reduceat(row[src], segments) for row in emit_rows
+                ]
+                _carry(sums)
+                closed = mask[a:b]
+                for row, emit_row, level_sum in zip(rows, emit_rows, sums):
+                    row[a:b] = level_sum
+                    emit_row[a:b] = np.where(closed, 0, level_sum)
+                emit_rows[0][a:b] += lift[a:b]
+        totals.flags.writeable = False
+        mask.flags.writeable = False
+        with plan.t_lock:
+            plan.t_last = (mask, totals)
+        _count_levels("T", plan.num_levels - start, start)
         return totals
 
     # ------------------------------------------------------------------
@@ -773,7 +956,8 @@ class NumpyBackend(SampledEvaluationMixin):
         if self._delegates(plan) or isinstance(items_per_source, Mapping):
             return None
         weight = max(items_per_source, 0)
-        totals = self._totals_limbs(plan, self._filter_mask(plan, filters))
+        mask = self._topo_mask(plan, self._filter_ids(plan, filters))
+        totals = self._totals_limbs(plan, mask)[:, plan.position]
         # Compare before multiplying: a weight beyond float64 range would
         # raise OverflowError in the product.
         if (
@@ -827,7 +1011,8 @@ class NumpyBackend(SampledEvaluationMixin):
         plan = self.plan_for(graph)
         if self._delegates(plan):
             return self._exact.marginal_gains(graph, filter_set)
-        gains = self._gains_list(plan, self._filter_mask(plan, filter_set))
+        mask = self._topo_mask(plan, self._filter_ids(plan, filter_set))
+        gains = self._gains_list(plan, mask)
         return dict(zip(plan.node_list, gains))
 
     def marginal_gains_ids(
@@ -841,7 +1026,8 @@ class NumpyBackend(SampledEvaluationMixin):
         plan = self.plan_for(graph)
         if self._delegates(plan):
             return self._exact.marginal_gains_ids(graph, filter_ids)
-        return self._gains_list(plan, self._mask_from_ids(plan, filter_ids))
+        mask = self._topo_mask(plan, self._checked_ids(plan, filter_ids))
+        return self._gains_list(plan, mask)
 
     def simplified_impacts(
         self,
@@ -854,7 +1040,8 @@ class NumpyBackend(SampledEvaluationMixin):
         plan = self.plan_for(graph)
         if self._delegates(plan):
             return self._exact.simplified_impacts(graph, filter_set)
-        scores = self._impact_list(plan, self._filter_mask(plan, filter_set))
+        mask = self._topo_mask(plan, self._filter_ids(plan, filter_set))
+        scores = self._impact_list(plan, mask)
         return dict(zip(plan.node_list, scores))
 
     def simplified_impacts_ids(
@@ -866,7 +1053,8 @@ class NumpyBackend(SampledEvaluationMixin):
         plan = self.plan_for(graph)
         if self._delegates(plan):
             return self._exact.simplified_impacts_ids(graph, filter_ids)
-        return self._impact_list(plan, self._mask_from_ids(plan, filter_ids))
+        mask = self._topo_mask(plan, self._checked_ids(plan, filter_ids))
+        return self._impact_list(plan, mask)
 
     # ------------------------------------------------------------------
     # Propagation-model axis: batched sampled-world sweeps
@@ -950,8 +1138,9 @@ class NumpyBackend(SampledEvaluationMixin):
         # are row-repeated per item (ψ row ``t·S + s`` is world ``t``'s
         # item ``s``); the backward ``W`` is item-independent.
         S = len(plan.sources)
+        levels = self._push_levels(plan)
         live_fwd = []
-        for lvl in plan.levels:
+        for lvl in levels:
             # order="C": the fancy column gather returns transposed
             # strides, and a non-contiguous operand would poison every
             # hot-path multiply that touches it.
@@ -961,25 +1150,27 @@ class NumpyBackend(SampledEvaluationMixin):
             live_fwd.append(fwd)
         live_bwd = [
             live[:, lvl.bwd_edge_ids].astype(dtype, order="C")
-            for lvl in plan.levels
+            for lvl in levels
         ]
         # Segment ends per level grouping: segments are contiguous and
         # cover the level exactly, so the cumsum trick needs only the
         # starts (already on the level) plus this closing boundary.
         fwd_ends = [
             np.append(lvl.fwd_offsets[1:], lvl.fwd_src_global.size)
-            for lvl in plan.levels
+            for lvl in levels
         ]
         bwd_ends = [
             np.append(lvl.bwd_offsets[1:], lvl.bwd_dst.size)
-            for lvl in plan.levels
+            for lvl in levels
         ]
         # Per-world live out-degree (Greedy_L's dout_t), via cumsum
         # differences so zero-degree nodes need no special case.
         cs = np.zeros((trials, m + 1), dtype=np.int64)
         np.cumsum(live, axis=1, out=cs[:, 1:])
-        out_degree = cs[:, plan.out_offsets[1:]] - cs[:, plan.out_offsets[:-1]]
+        out_offsets = _intp(np, plan.compiled.out_offsets)
+        out_degree = cs[:, out_offsets[1:]] - cs[:, out_offsets[:-1]]
         return _SampledState(
+            levels=levels,
             trials=trials,
             live_fwd=live_fwd,
             live_bwd=live_bwd,
@@ -1008,7 +1199,7 @@ class NumpyBackend(SampledEvaluationMixin):
         S = len(plan.sources)
         rows = state.trials * S
         psi = np.zeros((rows, plan.n), dtype=state.dtype)
-        for i, lvl in enumerate(plan.levels):
+        for i, lvl in enumerate(state.levels):
             if not lvl.has_edges:
                 continue
             src = lvl.fwd_src_global
@@ -1043,8 +1234,8 @@ class NumpyBackend(SampledEvaluationMixin):
         """``W`` for all worlds in one backward sweep: shape ``(trials, n)``."""
         np = self._np
         w = np.zeros((state.trials, plan.n), dtype=state.dtype)
-        for i in range(len(plan.levels) - 1, -1, -1):
-            lvl = plan.levels[i]
+        for i in range(len(state.levels) - 1, -1, -1):
+            lvl = state.levels[i]
             if not lvl.has_edges:
                 continue
             live = state.live_bwd[i]
@@ -1083,7 +1274,7 @@ class NumpyBackend(SampledEvaluationMixin):
             return self._exact.sampled_marginal_gains_ids(
                 graph, filter_ids, model=model
             )
-        mask = self._mask_from_ids(plan, filter_ids)
+        mask = self._mask(plan, self._checked_ids(plan, filter_ids))
         psi = self._sampled_psi(plan, state, mask)
         w = self._sampled_w(plan, state, mask)
         surplus = psi - 1
@@ -1115,7 +1306,7 @@ class NumpyBackend(SampledEvaluationMixin):
                 graph, filter_ids, model=model
             )
         np = self._np
-        mask = self._mask_from_ids(plan, filter_ids)
+        mask = self._mask(plan, self._checked_ids(plan, filter_ids))
         psi = self._sampled_psi(plan, state, mask)
         totals = psi.reshape(
             state.trials, len(plan.sources), plan.n
@@ -1148,7 +1339,7 @@ class NumpyBackend(SampledEvaluationMixin):
                 graph, filters, model=model
             )
         np = self._np
-        mask = self._filter_mask(plan, filters)
+        mask = self._mask(plan, self._filter_ids(plan, filters))
         psi = self._sampled_psi(plan, state, mask)
         return sum(psi.sum(axis=0, dtype=np.int64).tolist())
 

@@ -795,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
         "memory-mapped back at the next boot",
     )
     _add_warm_arguments(serve)
-    from repro.service.http import LOG_FORMATS
+    from repro.service import LOG_FORMATS
 
     serve.add_argument(
         "--log-format",

@@ -24,16 +24,43 @@ expensive state resident and shares it across requests:
 
 from __future__ import annotations
 
-from repro.service.app import ServiceApp
-from repro.service.cache import PlacementCache, PlacementKey
-from repro.service.jobs import JobManager
-from repro.service.store import GraphStore, graph_digest
+import importlib
+from typing import TYPE_CHECKING, Any
 
-__all__ = [
-    "GraphStore",
-    "JobManager",
-    "PlacementCache",
-    "PlacementKey",
-    "ServiceApp",
-    "graph_digest",
-]
+#: Access-log renderings accepted by the server.  Defined here rather
+#: than in :mod:`repro.service.http` so the CLI parser can offer them
+#: without importing the HTTP stack.
+LOG_FORMATS: tuple[str, ...] = ("text", "json")
+
+#: The package's re-exports and the submodule each comes from.  They
+#: resolve on first access (:func:`__getattr__`), so importing one
+#: submodule — the serializer, for ``place --json`` — loads no other.
+_EXPORTS = {
+    "GraphStore": "store",
+    "JobManager": "jobs",
+    "PlacementCache": "cache",
+    "PlacementKey": "cache",
+    "ServiceApp": "app",
+    "graph_digest": "store",
+}
+
+__all__ = sorted(_EXPORTS)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.app import ServiceApp
+    from repro.service.cache import PlacementCache, PlacementKey
+    from repro.service.jobs import JobManager
+    from repro.service.store import GraphStore, graph_digest
+
+
+def __getattr__(name: str) -> Any:
+    """Import a re-exported name's submodule on first access."""
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

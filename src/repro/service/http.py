@@ -54,15 +54,13 @@ from typing import Any, Callable
 
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import set_request_id
+from repro.service import LOG_FORMATS
 from repro.service.app import RequestError, ServiceApp
 
 logger = logging.getLogger("repro.service")
 
 #: Largest accepted request body (an edge-list upload), bytes.
 MAX_BODY_BYTES = 64 * 1024 * 1024
-
-#: Access-log renderings accepted by the server.
-LOG_FORMATS: tuple[str, ...] = ("text", "json")
 
 
 def _http_metrics() -> tuple[Any, Any]:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
-from conftest import MALFORMED_FPC_META, malform_fpc_meta
+from conftest import MALFORMED_FPC_META, SRC, malform_fpc_meta
 from repro.exceptions import ParameterError
 from repro.graphs.cgraph import CGraph
 from repro.service.app import ServiceApp
@@ -31,6 +34,41 @@ def app():
 def register_fig1(app: ServiceApp) -> str:
     entry, _ = app.store.register_dataset("fig1")
     return entry.digest
+
+
+#: Run in a fresh interpreter: what ``place --json`` and the CLI parser
+#: import must leave the service's app, store, jobs, cache and HTTP
+#: modules unloaded, while the package's re-exports still resolve.
+_IMPORT_PROBE = """
+import sys
+import repro.service.serialize
+from repro.cli import build_parser
+build_parser()
+loaded = [
+    name
+    for name in ("app", "store", "jobs", "cache", "http")
+    if "repro.service." + name in sys.modules
+]
+assert not loaded, loaded
+from repro.service import (
+    GraphStore, JobManager, PlacementCache, PlacementKey, ServiceApp,
+    graph_digest,
+)
+from repro.service.app import ServiceApp as app_class
+assert ServiceApp is app_class
+"""
+
+
+def test_serializer_and_parser_load_no_service_stack():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ----------------------------------------------------------------------
