@@ -40,12 +40,13 @@ re-sweeps ``T`` below ``d`` and ``W`` above it.  Stored rows are
 read-only and replaced whole under a lock, so threads sharing a plan
 always restart from a consistent pair.
 
-Sampled models add a world axis: the batched sampled sweeps keep one
-``ψ`` row per (world, item), ``(trials · S, n)``, and one ``W`` row per
-world.  Those rows, and the sampled probe's float64 ``(S, n)`` level-sum
-bound, are the module's only per-source arrays.  They push over per-level
-edge groupings (:class:`_Level`) that a plan builds only on its first
-sampled use, and they do not restart.
+Sampled models add a world axis to the same formulation: one ``T`` and
+one ``W`` row per world, ``(trials, n)`` by position, pulled over the
+same two tables with each level's gathered values multiplied by the
+world's live edges, and ``I_t(v | A) = (T_t − nreach_t) · W_t`` summed
+over worlds.  ``nreach_t``, the sources reaching ``v`` in world ``t``,
+comes from one OR-sweep of source bitsets per world over the ``T``
+table, built once per sampled state.  The sampled sweeps do not restart.
 
 Tiers and sessions
 ------------------
@@ -201,48 +202,42 @@ def _limb_ints(limbs: Any) -> list[int]:
     return values
 
 
-@dataclass
-class _Level:
-    """One level of the levelized DAG plus its outgoing edge bundle, in
-    the push form the sampled sweeps scatter with (ids, not positions).
+def _pull_edges(np: Any, compiled: Any, position: Any) -> tuple:
+    """The out-CSR edges in the order of the plan's two pull tables.
 
-    The level's edges are stored twice, pre-grouped for the two sweep
-    directions so both can scatter with ``np.add.reduceat`` (exact int64
-    segment sums) instead of the much slower ``np.add.at``:
-
-    * forward — grouped by destination: ``fwd_src_local`` (positions
-      within ``nodes``), segment starts ``fwd_offsets``, one segment per
-      ``fwd_uniq_dst`` entry;
-    * backward — grouped by source (natural CSR order): ``bwd_dst``
-      (global indices), segment starts ``bwd_offsets``, one segment per
-      ``bwd_uniq_src`` entry.
+    Returns ``(out_at, edges, dst, by_dst)``.  The out-edges run by
+    source position, CSR order within a source: node ``p``'s are
+    ``out_at[p]:out_at[p + 1]``, ``edges`` holds their forward-CSR ids
+    and ``dst`` their target positions.  That is the ``W`` table's
+    order; ``by_dst`` regroups them by target position, sources
+    ascending, which is the ``T`` table's.  The plan cuts both tables
+    from these, and a sampled state gathers its live-edge masks with
+    ``edges`` and ``edges[by_dst]``, so masks and tables agree edge for
+    edge.
     """
+    n = compiled.n
+    order = _intp(np, compiled.topo_order)
+    out_degree = _intp(np, compiled.out_degree)[order]
+    out_at = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(out_degree, out=out_at[1:])
+    edges = np.arange(int(out_at[-1]), dtype=np.intp) + np.repeat(
+        _intp(np, compiled.out_offsets)[order] - out_at[:-1], out_degree
+    )
+    dst = position[_intp(np, compiled.out_targets)[edges]]
+    return out_at, edges, dst, stable_order(dst, n)
 
-    nodes: Any  # intp[num_level_nodes] — global node indices
-    fwd_src_local: Any  # intp[num_edges] — dst-grouped, positions in nodes
-    fwd_uniq_dst: Any  # intp[...] — distinct destinations
-    fwd_offsets: Any  # intp[...] — reduceat segment starts
-    bwd_dst: Any  # intp[num_edges] — src-grouped, global dst indices
-    bwd_uniq_src: Any  # intp[...] — distinct sources
-    bwd_offsets: Any  # intp[...] — reduceat segment starts
-    origin_rows: Any  # intp[...] — ψ rows whose source sits in this level
-    origin_cols: Any  # intp[...] — matching positions within ``nodes``
-    # Global forward-CSR edge positions of the level's edges, in each
-    # grouping's order — how the sampled live-edge masks (trial × edge)
-    # are gathered per level for the probabilistic batched sweeps.
-    fwd_edge_ids: Any = None  # intp[num_edges] — dst-grouped order
-    bwd_edge_ids: Any = None  # intp[num_edges] — src-grouped (CSR) order
-    # Sampled-sweep gather tables (dst-grouped order): the global source
-    # node of each edge, plus the subset of edges whose source is an item
-    # origin (with the matching ψ item row).  The sampled forward pass
-    # gathers emissions straight from ψ rows and fixes up only these.
-    fwd_src_global: Any = None  # intp[num_edges]
-    fwd_origin_sel: Any = None  # intp[...] — edge positions with origin src
-    fwd_origin_row: Any = None  # intp[...] — their ψ item rows
 
-    @property
-    def has_edges(self) -> bool:
-        return self.bwd_dst.size > 0
+def _segment_sums(np: Any, values: Any, last: Any) -> Any:
+    """Row sums of the column segments that tile ``values``.
+
+    ``last[j]`` is segment ``j``'s last column.  One in-place cumsum
+    along the contiguous rows, then differences at the segment ends;
+    ``values`` is consumed.  The whole row's running sum must fit the
+    dtype: the probe's level-sum bounds say it does.
+    """
+    sums = np.cumsum(values, axis=1, out=values)[:, last]
+    sums[:, 1:] -= values[:, last[:-1]]
+    return sums
 
 
 @dataclass
@@ -298,24 +293,20 @@ class _Plan:
     w_last: Any = None
     t_lock: Any = field(default_factory=threading.Lock, repr=False)
     w_lock: Any = field(default_factory=threading.Lock, repr=False)
-    #: The sampled sweeps' push groupings (by id), built on first
-    #: sampled use; deterministic plans never hold them.
-    levels: "list[_Level] | None" = None
     #: max over v of (Σ_s ψ_∅(v)) · W_∅(v) — bounds every gain/score.
     prod_bound: float = 0.0
     #: max over v of Σ_s ψ_∅(v) — bounds every per-node receipt total.
     psi_bound: float = 0.0
     #: max over v of W_∅(v) — bounds every absorbing suffix.
     w_bound: float = 0.0
-    #: max over (level, item) of the level's total forward emission, and
-    #: max over levels of Σ (1 + W_∅(dst)) — bounds of the *cumulative*
+    #: max over T levels of Σ_{v ∈ level} T_∅(v), and max over W levels
+    #: of Σ (1 + W_∅(dst)) over their edges — bounds of the *cumulative*
     #: segment sums the sampled sweeps run per level (their prefix-sum
     #: trick sums a whole level before differencing, so the intermediate
-    #: can exceed any single node's value).  The forward bound needs a
-    #: per-source probe row, so it is deferred (None) until the sampled
-    #: state builder — its only consumer — asks for it; the flattened
-    #: 1-D plan probe never materializes the (num_sources, n) matrix.
-    fwd_levelsum_bound: "float | None" = None
+    #: can exceed any single node's value).  Every world and filter set
+    #: emits at most ``T_∅ + [source]`` along an edge (a filter emits
+    #: ``nreach_t ≤ T_t``), so the ``A = ∅`` level sums bound them all.
+    fwd_levelsum_bound: float = 0.0
     bwd_levelsum_bound: float = 0.0
     #: When True the int64 path is unsafe: the bitpack sweeps carry
     #: limbs, and everything without limb sweeps delegates to the exact
@@ -346,27 +337,39 @@ class _Plan:
 class _SampledState:
     """Per-(graph, model) adapter over the shared sampled worlds.
 
-    Holds the plan's push groupings, the (trials × edges) live-edge
-    masks pre-gathered per level in both of them, plus the per-world
-    live out-degrees and the trials-aware overflow verdict.  The coin
-    flips themselves live in
+    The ndarray view of
     :class:`repro.propagation.sampling.SampledWorlds` (shared with the
-    python backend — same worlds, bit-identical results); this is only
-    the ndarray view of them.
+    python backend — same worlds, bit-identical results) on the plan's
+    two pull tables: each level's live-edge columns gathered in ``T``
+    and in ``W`` table order, the per-world reach counts and live
+    out-degrees by position, and the trials-aware overflow verdict.  A
+    delegating state holds the verdict only.
     """
 
-    levels: list  # the plan's _Level push groupings
     trials: int
-    live_fwd: list  # per level: dtype[(trials, level_edges)], dst-grouped
-    live_bwd: list  # per level: dtype[(trials, level_edges)], CSR order
-    fwd_ends: list  # per level: intp[...] — closing segment boundaries
-    bwd_ends: list  # per level: intp[...] — closing segment boundaries
-    out_degree: Any  # int64[(trials, n)] — live out-degree per world
     #: Working dtype of the hot path (int32 when the probe's level-sum
     #: bounds allow, halving memory traffic; int64 otherwise).
-    dtype: Any = None
+    dtype: Any
     #: True when summing across worlds could overrun int64; delegate.
-    exact_only: bool = False
+    exact_only: bool
+    #: Per ``plan.t_levels`` / ``plan.w_levels`` entry: ``(live, last)``
+    #: — the level's live-edge columns, ``dtype[(trials, edges)]``, and
+    #: the last edge of each destination (T) or source (W) segment —
+    #: or None where the plan's entry is None.
+    t_live: list = field(default_factory=list)
+    w_live: list = field(default_factory=list)
+    #: Source positions, split by level.
+    sources: list = field(default_factory=list)
+    #: int64[(trials, n)] by position: sources reaching each node in
+    #: each world, itself excluded.
+    nreach: Any = None
+    #: int64[(trials, n)] by position: live out-degree in each world.
+    out_degree: Any = None
+
+    @property
+    def representation(self) -> str:
+        """``exact`` when delegating, else the working dtype's name."""
+        return "exact" if self.exact_only else self.dtype.__name__
 
 
 class NumpyBackend(SampledEvaluationMixin):
@@ -435,9 +438,9 @@ class NumpyBackend(SampledEvaluationMixin):
         All structure — CSR arrays, degrees, the level partition — comes
         straight from :meth:`CGraph.compiled`; this method converts the
         tables to ndarrays, lays them out by topological position and
-        cuts the two pull tables into per-level slices, all vectorized:
-        the out-edges in position order give the W table, and one stable
-        sort of their targets gives the T table.
+        cuts the two pull tables into per-level slices, all vectorized
+        from :func:`_pull_edges`: the out-edges in position order give
+        the W table, and one stable sort of their targets the T table.
         """
         np = self._np
         compiled = graph.compiled()
@@ -456,25 +459,15 @@ class NumpyBackend(SampledEvaluationMixin):
             compiled=compiled,
             level_starts=starts,
         )
-        order = _intp(np, compiled.topo_order)
         position = _intp(np, compiled.topo_index)
         plan.position = position
-        out_degree = _intp(np, compiled.out_degree)[order]
-        plan.out_degree = out_degree.astype(np.int64)
         plan.src_bonus = np.zeros(n, dtype=np.int64)
         plan.src_bonus[position[_intp(np, compiled.source_ids)]] = 1
 
-        # Out-edges in position order: node p's run is out_at[p]:out_at[p+1].
-        out_at = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(out_degree, out=out_at[1:])
-        m = int(out_at[-1])
-        edges = np.arange(m, dtype=np.intp) + np.repeat(
-            _intp(np, compiled.out_offsets)[order] - out_at[:-1], out_degree
-        )
-        dst = position[_intp(np, compiled.out_targets)[edges]]
+        out_at, edges, dst, by_dst = _pull_edges(np, compiled, position)
         del edges
-        # The same edges grouped by target position, sources ascending.
-        by_dst = stable_order(dst, n)
+        out_degree = np.diff(out_at)
+        plan.out_degree = out_degree.astype(np.int64)
         src = np.repeat(np.arange(n, dtype=np.intp), out_degree)[by_dst]
         del by_dst
         in_at = np.zeros(n + 1, dtype=np.intp)
@@ -522,9 +515,11 @@ class NumpyBackend(SampledEvaluationMixin):
         totals = np.zeros(n, dtype=np.float64)
         bonus = plan.src_bonus.astype(np.float64)
         emit = bonus.copy()
+        fwd_levelsum = 0.0
         for lvl in plan.t_levels[1:]:
             a, b, src, segments = lvl
             level_sum = np.add.reduceat(emit[src], segments)
+            fwd_levelsum = max(fwd_levelsum, float(level_sum.sum()))
             totals[a:b] = level_sum
             emit[a:b] = level_sum + bonus[a:b]
         w = np.zeros(n, dtype=np.float64)
@@ -539,8 +534,7 @@ class NumpyBackend(SampledEvaluationMixin):
             level_sum = np.add.reduceat(edge_contrib, segments)
             w[kids] = level_sum
             contrib[kids] = 1.0 + level_sum
-        # fwd_levelsum_bound needs per-source probe rows; it stays None
-        # until _fwd_levelsum — the sampled-state builder's lazy path.
+        plan.fwd_levelsum_bound = fwd_levelsum
         plan.bwd_levelsum_bound = bwd_levelsum
         plan.psi_bound = float(totals.max()) if n else 0.0
         plan.w_bound = float(w.max()) if n else 0.0
@@ -564,142 +558,6 @@ class NumpyBackend(SampledEvaluationMixin):
             plan.w_limbs = limb_count(plan.w_bound)
             if plan.t_limbs is not None and plan.w_limbs is not None:
                 plan.representation = "limbs"
-
-    def _push_levels(self, plan: _Plan) -> list[_Level]:
-        """The sampled sweeps' per-level push groupings (built on first
-        sampled use and cached on the plan)."""
-        if plan.levels is None:
-            plan.levels = self._build_push_levels(plan.compiled)
-        return plan.levels
-
-    def _build_push_levels(self, compiled: Any) -> list[_Level]:
-        """Group each level's out-edges by destination and by source,
-        in node ids, for the sampled sweeps' ``reduceat`` scatters."""
-        np = self._np
-        n = compiled.n
-        src = np.repeat(
-            np.arange(n, dtype=np.intp), _intp(np, compiled.out_degree)
-        )
-        dst = _intp(np, compiled.out_targets)
-        num_levels = compiled.num_levels
-        depth = _intp(np, compiled.depth)
-        # compiled.topo_order is sorted by (depth, id) — exactly the
-        # stable by-level node grouping, with the level partition already
-        # computed.
-        nodes_by_level = _intp(np, compiled.topo_order)
-        level_starts = _intp(np, compiled.level_offsets)
-        local_pos = np.empty(n, dtype=np.intp)
-        local_pos[nodes_by_level] = (
-            np.arange(n, dtype=np.intp) - level_starts[depth[nodes_by_level]]
-        )
-        edge_level = depth[src] if src.size else np.empty(0, dtype=np.intp)
-        edges_by_level = stable_order(edge_level, num_levels)
-        edge_level_starts = np.searchsorted(
-            edge_level[edges_by_level], np.arange(num_levels + 1)
-        )
-        source_idx = _intp(np, compiled.source_ids)
-        # Sampled-ψ row of the source whose column this is, −1 elsewhere.
-        col_to_row = np.full(n, -1, dtype=np.intp)
-        col_to_row[source_idx] = np.arange(source_idx.size, dtype=np.intp)
-        # Source rows grouped by depth once (ascending rows within a
-        # depth), so each level slices out its origins.
-        origins_by_depth = stable_order(depth[source_idx], num_levels)
-        origin_starts = np.searchsorted(
-            depth[source_idx][origins_by_depth], np.arange(num_levels + 1)
-        )
-
-        def group_starts(sorted_keys: Any) -> Any:
-            """Segment starts of equal-key runs in an already-sorted array."""
-            return np.flatnonzero(
-                np.concatenate(
-                    ([True], sorted_keys[1:] != sorted_keys[:-1])
-                )
-            )
-
-        levels = []
-        for lvl in range(num_levels):
-            lvl_nodes = nodes_by_level[level_starts[lvl]:level_starts[lvl + 1]]
-            eids = edges_by_level[
-                edge_level_starts[lvl]:edge_level_starts[lvl + 1]
-            ]
-            src_global = src[eids]  # ascending (CSR order is kept by the
-            dst_global = dst[eids]  # stable sort) — already src-grouped
-            if src_global.size:
-                by_dst = stable_order(dst_global, n)
-                dst_sorted = dst_global[by_dst]
-                fwd_offsets = group_starts(dst_sorted)
-                fwd_uniq_dst = dst_sorted[fwd_offsets]
-                fwd_src_global = src_global[by_dst]
-                fwd_src_local = local_pos[fwd_src_global]
-                fwd_edge_ids = eids[by_dst]
-                src_rows = col_to_row[fwd_src_global]
-                fwd_origin_sel = np.flatnonzero(src_rows >= 0)
-                fwd_origin_row = src_rows[fwd_origin_sel]
-                bwd_offsets = group_starts(src_global)
-                bwd_uniq_src = src_global[bwd_offsets]
-                bwd_edge_ids = eids
-            else:
-                empty = np.empty(0, dtype=np.intp)
-                fwd_offsets = fwd_uniq_dst = fwd_src_local = empty
-                bwd_offsets = bwd_uniq_src = empty
-                fwd_edge_ids = bwd_edge_ids = empty
-                fwd_src_global = fwd_origin_sel = fwd_origin_row = empty
-            origin_rows = origins_by_depth[
-                origin_starts[lvl]:origin_starts[lvl + 1]
-            ]
-            levels.append(
-                _Level(
-                    nodes=lvl_nodes,
-                    fwd_src_local=fwd_src_local,
-                    fwd_uniq_dst=fwd_uniq_dst,
-                    fwd_offsets=fwd_offsets,
-                    bwd_dst=dst_global,
-                    bwd_uniq_src=bwd_uniq_src,
-                    bwd_offsets=bwd_offsets,
-                    origin_rows=origin_rows,
-                    origin_cols=local_pos[source_idx[origin_rows]],
-                    fwd_edge_ids=fwd_edge_ids,
-                    bwd_edge_ids=bwd_edge_ids,
-                    fwd_src_global=fwd_src_global,
-                    fwd_origin_sel=fwd_origin_sel,
-                    fwd_origin_row=fwd_origin_row,
-                )
-            )
-        return levels
-
-    def _fwd_levelsum(self, plan: _Plan) -> float:
-        """The per-item forward level-sum bound (lazy; cached on the plan).
-
-        max over (level, item) of one item's total forward emission in
-        the ``A = ∅`` probe — the only bound that genuinely needs a ψ
-        row per source, so it is the only place the ``(num_sources, n)``
-        float64 matrix still exists.  Deferred here because only the
-        sampled-world state builder consumes it, and the probabilistic
-        tiers never run at the source counts where the matrix hurts.
-        """
-        if plan.fwd_levelsum_bound is None:
-            np = self._np
-            with np.errstate(over="ignore", invalid="ignore"):
-                psi = np.zeros(
-                    (len(plan.sources), plan.n), dtype=np.float64
-                )
-                fwd_levelsum = 0.0
-                for lvl in self._push_levels(plan):
-                    if not lvl.has_edges:
-                        continue
-                    emit = psi[:, lvl.nodes]  # fancy index: a fresh copy
-                    if lvl.origin_rows.size:
-                        emit[lvl.origin_rows, lvl.origin_cols] = 1.0
-                    edge_emit = emit[:, lvl.fwd_src_local]
-                    if edge_emit.size:
-                        fwd_levelsum = max(
-                            fwd_levelsum, float(edge_emit.sum(axis=1).max())
-                        )
-                    psi[:, lvl.fwd_uniq_dst] += np.add.reduceat(
-                        edge_emit, lvl.fwd_offsets, axis=1
-                    )
-            plan.fwd_levelsum_bound = fwd_levelsum
-        return plan.fwd_levelsum_bound
 
     # ------------------------------------------------------------------
     # Vectorized sweeps
@@ -725,16 +583,11 @@ class NumpyBackend(SampledEvaluationMixin):
                 raise MissingNodeError(min(ids) if min(ids) < 0 else max(ids))
         return ids
 
-    def _mask(self, plan: _Plan, slots: Any) -> Any:
-        """A boolean row over the plan's ``n`` slots, True at ``slots``:
-        node ids for the sampled sweeps, positions for the others."""
-        mask = self._np.zeros(plan.n, dtype=bool)
-        mask[slots] = True
-        return mask
-
     def _topo_mask(self, plan: _Plan, ids: Any) -> Any:
         """The filter mask by topological position."""
-        return self._mask(plan, plan.position[ids])
+        mask = self._np.zeros(plan.n, dtype=bool)
+        mask[plan.position[ids]] = True
+        return mask
 
     def _gains_list(self, plan: _Plan, mask: Any) -> list[int]:
         """``I(v | A) = (T − nreach) · W`` in id order, as exact ints, for
@@ -1057,20 +910,29 @@ class NumpyBackend(SampledEvaluationMixin):
         return self._impact_list(plan, mask)
 
     # ------------------------------------------------------------------
-    # Propagation-model axis: batched sampled-world sweeps
+    # Propagation-model axis: per-world T/W pulls
     # ------------------------------------------------------------------
     #
     # The sampled worlds (shared with the python backend, see
-    # repro.propagation.sampling) become one extra *sample axis* on the
-    # level-synchronous sweeps: ψ is kept per (world, item), (T·S, n),
-    # and W per world, (T, n), with each level's segment sums multiplied
-    # by the level's (T, E_l) live-edge mask.  No per-trial graph
-    # rebuilds, no per-trial python loops — one pass prices every
-    # (world, item) pair simultaneously.
+    # repro.propagation.sampling) add one row per world to the two
+    # deterministic sweeps: T and W are (trials, n) by position, and
+    # each level's gathered values are multiplied by its (trials, edges)
+    # live-edge columns before the segment sums.  A filter emits the
+    # world's own reach count, so each state also holds one (trials, n)
+    # reach block.  One pull per level prices every world at once: no
+    # per-trial graph rebuilds and no per-source rows.
 
     def _sampled_state(self, graph: CGraph, plan: _Plan, model) -> "_SampledState":
+        """The (cached) sampled state of ``graph`` under ``model``.
+
+        A build runs in a ``backends.sampled_state`` span carrying the
+        trial and source counts and the representation, and counts the
+        verdict in ``fp_probe_representation_total``; a cache hit does
+        neither.
+        """
         from collections import OrderedDict
 
+        from repro.obs.trace import span
         from repro.propagation.sampling import MAX_WORLD_SETS_PER_GRAPH
 
         per_graph = self._sampled.get(graph)
@@ -1079,7 +941,12 @@ class NumpyBackend(SampledEvaluationMixin):
         key = model.worlds_key()
         state = per_graph.get(key)
         if state is None:
-            state = self._build_sampled_state(graph, plan, model)
+            with span("backends.sampled_state", backend=self.name) as record:
+                state = self._build_sampled_state(graph, plan, model)
+                record.set("trials", state.trials)
+                record.set("sources", len(plan.sources))
+                record.set("representation", state.representation)
+            _count_representation("sampled", state.representation)
             per_graph[key] = state
             # Same LRU bound (and same safety argument) as the shared
             # worlds cache: states are pure functions of the key, so
@@ -1098,161 +965,184 @@ class NumpyBackend(SampledEvaluationMixin):
         np = self._np
         worlds = get_worlds(graph, model)
         trials = worlds.trials
-        m = len(worlds.probs.out_probs)
-        live = (
-            np.frombuffer(worlds.mask_bytes(), dtype=np.uint8)
-            .reshape(trials, m)
-            .astype(np.int64)
-        )
         # The deterministic A = ∅ probe bounds every per-world value (a
         # live-edge world is an edge subset; counts are monotone in
         # edges).  Two derived checks: the final cross-world sum must fit
         # int64, and the working dtype must hold every intermediate —
         # the per-level prefix sums of the cumsum-difference segment
-        # trick (levelsum bounds; they also cover each W entry, which
-        # accumulates from exactly one level) *and* the stored ψ entries,
-        # which accumulate across levels when a node's parents span
-        # several and are bounded by psi_bound, not by any single level.
-        # int32 halves the hot path's memory traffic when everything
-        # comfortably fits; int64 otherwise.
+        # trick (the level-sum bounds) and the stored T entries
+        # (psi_bound).  int32 halves the hot path's memory traffic when
+        # everything comfortably fits; int64 otherwise.
         bound = max(plan.psi_bound, plan.prod_bound)
-        levelsum = max(self._fwd_levelsum(plan), plan.bwd_levelsum_bound)
+        levelsum = max(plan.fwd_levelsum_bound, plan.bwd_levelsum_bound)
         # Same ladder as the deterministic plan, with the cross-world
         # sum (trials · bound) as the extra rung to clear; inf and NaN
         # (a saturated probe) land on "exact" like any other overflow.
         verdict = pick_representation(trials * bound, levelsum)
-        exact_only = plan.exact_only or verdict.exact_only
-        dtype = (
-            np.int32
-            if pick_representation(levelsum, plan.psi_bound).narrow
-            else np.int64
-        )
-        _count_representation(
-            "sampled",
-            "exact" if exact_only else np.dtype(dtype).name,
-        )
-        # Pre-gather each level's live columns once (both groupings),
-        # trials-major — matching the sweeps' row layout, where
-        # per-(world, item) rows stay cache-resident and the segment-sum
-        # cumsum runs along the contiguous last axis.  The forward masks
-        # are row-repeated per item (ψ row ``t·S + s`` is world ``t``'s
-        # item ``s``); the backward ``W`` is item-independent.
-        S = len(plan.sources)
-        levels = self._push_levels(plan)
-        live_fwd = []
-        for lvl in levels:
-            # order="C": the fancy column gather returns transposed
-            # strides, and a non-contiguous operand would poison every
-            # hot-path multiply that touches it.
-            fwd = live[:, lvl.fwd_edge_ids].astype(dtype, order="C")
-            if S > 1:
-                fwd = np.repeat(fwd, S, axis=0)
-            live_fwd.append(fwd)
-        live_bwd = [
-            live[:, lvl.bwd_edge_ids].astype(dtype, order="C")
-            for lvl in levels
-        ]
-        # Segment ends per level grouping: segments are contiguous and
-        # cover the level exactly, so the cumsum trick needs only the
-        # starts (already on the level) plus this closing boundary.
-        fwd_ends = [
-            np.append(lvl.fwd_offsets[1:], lvl.fwd_src_global.size)
-            for lvl in levels
-        ]
-        bwd_ends = [
-            np.append(lvl.bwd_offsets[1:], lvl.bwd_dst.size)
-            for lvl in levels
-        ]
-        # Per-world live out-degree (Greedy_L's dout_t), via cumsum
-        # differences so zero-degree nodes need no special case.
-        cs = np.zeros((trials, m + 1), dtype=np.int64)
-        np.cumsum(live, axis=1, out=cs[:, 1:])
-        out_offsets = _intp(np, plan.compiled.out_offsets)
-        out_degree = cs[:, out_offsets[1:]] - cs[:, out_offsets[:-1]]
-        return _SampledState(
-            levels=levels,
+        state = _SampledState(
             trials=trials,
-            live_fwd=live_fwd,
-            live_bwd=live_bwd,
-            fwd_ends=fwd_ends,
-            bwd_ends=bwd_ends,
-            out_degree=out_degree,
-            dtype=dtype,
-            exact_only=exact_only,
+            dtype=(
+                np.int32
+                if pick_representation(levelsum, plan.psi_bound).narrow
+                else np.int64
+            ),
+            exact_only=plan.exact_only or verdict.exact_only,
         )
+        if state.exact_only:
+            return state
+        m = len(worlds.probs.out_probs)
+        live = np.frombuffer(worlds.mask_bytes(), dtype=np.uint8).reshape(
+            trials, m
+        )
+        _, edges, _, by_dst = _pull_edges(np, plan.compiled, plan.position)
+        # Each table's live columns, trials-major like the sweeps' rows
+        # (take, not a fancy column index, keeps them C-contiguous).
+        t_live = np.take(live, edges[by_dst], axis=1)
+        state.w_live = self._level_columns(
+            np.take(live, edges, axis=1), plan.w_levels, state.dtype
+        )
+        del edges, by_dst
+        state.t_live = self._level_columns(t_live, plan.t_levels, state.dtype)
+        state.sources = self._by_level(plan, np.flatnonzero(plan.src_bonus))
+        state.nreach = self._world_reach(plan, t_live, state.sources)
+        # Per-world live out-degree (Greedy_L's dout_t): each W level's
+        # live columns summed per source; sinks keep 0.
+        state.out_degree = np.zeros((trials, plan.n), dtype=np.int64)
+        for lvl, pull in zip(plan.w_levels, state.w_live):
+            if lvl is not None:
+                columns, last = pull
+                state.out_degree[:, lvl[0]] = _segment_sums(
+                    np, columns.copy(), last
+                )
+        return state
 
-    def _sampled_psi(self, plan: _Plan, state: "_SampledState", mask: Any) -> Any:
-        """``ψ`` for all (world, item) pairs: shape ``(trials · S, n)``.
+    def _level_columns(self, live: Any, table: list, dtype: Any) -> list:
+        """A pull table's ``(trials, m)`` live matrix cut per level:
+        ``(live, last)`` per entry, None where the table has none.
 
-        Flat row-per-(world, item) layout with nodes last: each ``ψ``
-        row is a few kilobytes, so the per-edge emission gather stays
-        cache-resident, and the per-destination segment sums run as an
-        in-place cumsum difference along the contiguous last axis
-        (``reduceat``'s per-segment dispatch is what made the naive
-        batched sweep no faster than the python loop).  Emissions are
-        gathered straight from ``ψ`` and fixed up only where they
-        differ: the few filter-source edge columns (clamp to 0/1) and
-        origin-source edges (pinned to 1 in their item's rows), instead
-        of materializing a per-level emit block.
+        ``live`` runs in the table's edge order, level after level;
+        ``last`` holds each segment's last edge, the one
+        :func:`_segment_sums` reads.
         """
         np = self._np
-        S = len(plan.sources)
-        rows = state.trials * S
-        psi = np.zeros((rows, plan.n), dtype=state.dtype)
-        for i, lvl in enumerate(state.levels):
-            if not lvl.has_edges:
+        levels, at = [], 0
+        for lvl in table:
+            if lvl is None:
+                levels.append(None)
                 continue
-            src = lvl.fwd_src_global
-            contrib = np.take(psi, src, axis=1)  # (rows, E), C-contiguous
-            msk = mask[src]
-            if msk.any():
-                contrib[:, msk] = contrib[:, msk] > 0
-            if lvl.fwd_origin_sel.size:
-                if S == 1:
-                    contrib[:, lvl.fwd_origin_sel] = 1
-                else:
-                    # Row t·S + s holds item s of world t: the item rows
-                    # of source s are the strided slice s::S.
-                    for pos, s_row in zip(
-                        lvl.fwd_origin_sel, lvl.fwd_origin_row
-                    ):
-                        contrib[s_row::S, pos] = 1
-            contrib *= state.live_fwd[i]
-            # Segment sums by cumsum difference: segments (one per
-            # destination) tile the level's edges contiguously, and the
-            # probe's fwd_levelsum_bound guarantees the level-wide
-            # prefix sums fit the working dtype.
-            cs = np.cumsum(contrib, axis=1, out=contrib)
-            hi = cs[:, state.fwd_ends[i] - 1]
-            lo = cs[:, lvl.fwd_offsets - 1]
-            lo[:, 0] = 0  # the first segment starts at edge 0
-            hi -= lo
-            psi[:, lvl.fwd_uniq_dst] += hi
-        return psi
+            # Both tables' entries end with (edge endpoints, segment starts).
+            edges, segments = lvl[-2].size, lvl[-1]
+            levels.append((
+                np.ascontiguousarray(live[:, at:at + edges], dtype=dtype),
+                np.append(segments[1:], edges) - 1,
+            ))
+            at += edges
+        return levels
 
-    def _sampled_w(self, plan: _Plan, state: "_SampledState", mask: Any) -> Any:
-        """``W`` for all worlds in one backward sweep: shape ``(trials, n)``."""
+    def _by_level(self, plan: _Plan, positions: Any) -> list:
+        """Ascending ``positions`` split by level, one array per level."""
+        cuts = self._np.searchsorted(positions, plan.level_starts).tolist()
+        return [positions[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+    def _world_reach(self, plan: _Plan, t_live: Any, sources: list) -> Any:
+        """``nreach_t`` for every world by position: int64 ``(trials, n)``.
+
+        One OR-sweep of source bitsets per world over the T table, on one
+        ``(n, ⌈S/64⌉)`` uint64 plane whatever the trial count: a row
+        holds the bits of the sources that reach its position or sit on
+        it.  Each level gathers its in-edges' parent rows, zeroes the
+        world's dead edges (``t_live``: uint8 ``(trials, m)`` in T-table
+        order), ORs each destination's rows into its own with
+        ``reduceat`` and sets the level's source bits.  Level 0 has no
+        in-edges, so its rows keep their bits from world to world.  A
+        source never reaches itself in a DAG, so a row's popcount less
+        its own bit is the count.
+        """
+        from repro.propagation.reach import _word_popcounts
+
+        np = self._np
+        own, lane = [], 0
+        for positions in sources:
+            lanes = np.arange(lane, lane + positions.size)
+            lane += positions.size
+            bits = np.left_shift(np.uint64(1), (lanes & 63).astype(np.uint64))
+            own.append((positions, lanes >> 6, bits))
+        plane = np.zeros((plan.n, (lane + 63) // 64), dtype=np.uint64)
+        for positions, words, bits in own:
+            plane[positions, words] = bits
+        nreach = np.empty((len(t_live), plan.n), dtype=np.int64)
+        for world, live in zip(nreach, t_live):
+            at = 0
+            for lvl, (positions, words, bits) in zip(plan.t_levels, own):
+                if lvl is None:
+                    continue
+                a, b, src, segments = lvl
+                parents = plane[src]
+                parents *= live[at:at + src.size, None]
+                at += src.size
+                np.bitwise_or.reduceat(parents, segments, out=plane[a:b])
+                if positions.size:
+                    plane[positions, words] |= bits
+            _word_popcounts(np, plane).sum(axis=1, out=world)
+        nreach -= plan.src_bonus
+        return nreach
+
+    def _sampled_totals(
+        self, plan: _Plan, state: "_SampledState", mask: Any
+    ) -> Any:
+        """``T_t`` for every world by position: shape ``(trials, n)``.
+
+        One pull per level for all worlds: gather the emissions at the
+        level's in-edge sources, zero the dead edges, and segment-sum
+        into the level's slice.  Emissions ``E_t = (nreach_t if filter
+        else T_t) + [source]`` are kept per position; once a level's
+        slice is written they differ from ``T_t`` only on its filter and
+        source columns, the only ones touched.
+        """
+        np = self._np
+        totals = np.zeros((state.trials, plan.n), dtype=state.dtype)
+        emit = np.zeros_like(totals)
+        filters = self._by_level(plan, np.flatnonzero(mask))
+        for lvl, pull, closed, own in zip(
+            plan.t_levels, state.t_live, filters, state.sources
+        ):
+            if lvl is not None:
+                a, b, src, _ = lvl
+                live, last = pull
+                edge = np.take(emit, src, axis=1)
+                edge *= live
+                totals[:, a:b] = emit[:, a:b] = _segment_sums(np, edge, last)
+            if closed.size:
+                emit[:, closed] = state.nreach[:, closed]
+            if own.size:
+                emit[:, own] += 1
+        return totals
+
+    def _sampled_suffix(
+        self, plan: _Plan, state: "_SampledState", mask: Any
+    ) -> Any:
+        """``W_t`` for every world by position: shape ``(trials, n)``.
+
+        The deterministic recurrence over the W table in reverse, one
+        row per world: a live edge ``(v, u)`` adds ``1 + [u ∉ A]·W_t(u)``
+        to ``W_t(v)``, a dead one nothing.
+        """
         np = self._np
         w = np.zeros((state.trials, plan.n), dtype=state.dtype)
-        for i in range(len(state.levels) - 1, -1, -1):
-            lvl = state.levels[i]
-            if not lvl.has_edges:
+        for lvl, pull in zip(reversed(plan.w_levels), reversed(state.w_live)):
+            if lvl is None:
                 continue
-            live = state.live_bwd[i]
-            wd = np.take(w, lvl.bwd_dst, axis=1)  # (T, E), C-contiguous
-            dmsk = mask[lvl.bwd_dst]
-            if dmsk.any():
-                wd[:, dmsk] = 0  # filters absorb the perturbation
+            kids, dst, _ = lvl
+            live, last = pull
+            edge = np.take(w, dst, axis=1)
+            closed = mask[dst]
+            if closed.any():
+                edge[:, closed] = 0  # filters absorb the perturbation
             # live · (1 + W(dst)) as mask arithmetic: zero dead edges,
             # then add the mask itself (the +1 of live edges only).
-            wd *= live
-            wd += live
-            cs = np.cumsum(wd, axis=1, out=wd)
-            hi = cs[:, state.bwd_ends[i] - 1]
-            lo = cs[:, lvl.bwd_offsets - 1]
-            lo[:, 0] = 0
-            hi -= lo
-            w[:, lvl.bwd_uniq_src] += hi
+            edge *= live
+            edge += live
+            w[:, kids] = _segment_sums(np, edge, last)
         return w
 
     def sampled_marginal_gains_ids(
@@ -1262,32 +1152,27 @@ class NumpyBackend(SampledEvaluationMixin):
         *,
         model=None,
     ) -> list[int]:
-        """``Σ_t I_t(v | A)`` over interned ids — one batched sweep."""
+        """``Σ_t I_t(v | A) = Σ_t (T_t − nreach_t) · W_t`` over interned
+        ids, 0 on filters."""
         if model is None:
             return self.marginal_gains_ids(graph, filter_ids)
         if not graph.sources:
             raise MissingSourceError("graph has no sources")
-        np = self._np
         plan = self.plan_for(graph)
         state = self._sampled_state(graph, plan, model)
         if state.exact_only:
             return self._exact.sampled_marginal_gains_ids(
                 graph, filter_ids, model=model
             )
-        mask = self._mask(plan, self._checked_ids(plan, filter_ids))
-        psi = self._sampled_psi(plan, state, mask)
-        w = self._sampled_w(plan, state, mask)
-        surplus = psi - 1
-        np.maximum(surplus, 0, out=surplus)
-        # Reductions leave the (possibly int32) hot path: per-(node,
-        # world) products and the cross-world sum run in int64, which the
-        # trials-aware probe check guarantees is enough.
-        per_world = surplus.reshape(
-            state.trials, len(plan.sources), plan.n
-        ).sum(axis=1, dtype=np.int64)
-        gains = (per_world * w.astype(np.int64, copy=False)).sum(axis=0)
+        mask = self._topo_mask(plan, self._checked_ids(plan, filter_ids))
+        # Products and the cross-world sum leave the (possibly int32) hot
+        # path for int64, which the trials-aware probe check guarantees
+        # is enough.
+        surplus = self._sampled_totals(plan, state, mask) - state.nreach
+        surplus *= self._sampled_suffix(plan, state, mask)
+        gains = surplus.sum(axis=0)
         gains[mask] = 0
-        return gains.tolist()
+        return gains[plan.position].tolist()
 
     def sampled_simplified_impacts_ids(
         self,
@@ -1296,7 +1181,7 @@ class NumpyBackend(SampledEvaluationMixin):
         *,
         model=None,
     ) -> list[int]:
-        """``Σ_t ψ_t(v) · dout_t(v)`` over interned ids, batched."""
+        """``Σ_t T_t(v) · dout_t(v)`` over interned ids."""
         if model is None:
             return self.simplified_impacts_ids(graph, filter_ids)
         plan = self.plan_for(graph)
@@ -1305,14 +1190,10 @@ class NumpyBackend(SampledEvaluationMixin):
             return self._exact.sampled_simplified_impacts_ids(
                 graph, filter_ids, model=model
             )
-        np = self._np
-        mask = self._mask(plan, self._checked_ids(plan, filter_ids))
-        psi = self._sampled_psi(plan, state, mask)
-        totals = psi.reshape(
-            state.trials, len(plan.sources), plan.n
-        ).sum(axis=1, dtype=np.int64)
+        mask = self._topo_mask(plan, self._checked_ids(plan, filter_ids))
+        totals = self._sampled_totals(plan, state, mask)
         scores = (totals * state.out_degree).sum(axis=0)
-        return scores.tolist()
+        return scores[plan.position].tolist()
 
     def sampled_total_receipts(
         self,
@@ -1339,9 +1220,9 @@ class NumpyBackend(SampledEvaluationMixin):
                 graph, filters, model=model
             )
         np = self._np
-        mask = self._mask(plan, self._filter_ids(plan, filters))
-        psi = self._sampled_psi(plan, state, mask)
-        return sum(psi.sum(axis=0, dtype=np.int64).tolist())
+        mask = self._topo_mask(plan, self._filter_ids(plan, filters))
+        totals = self._sampled_totals(plan, state, mask)
+        return sum(totals.sum(axis=0, dtype=np.int64).tolist())
 
     # expected_total_receipts / expected_marginal_gains /
     # sampled_gain_session come from SampledEvaluationMixin — one shared

@@ -25,11 +25,12 @@ no-numpy CI job fuzzes the pure-Python engine alone.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
 import oracle_dictpath as oracle
-from strategies import DagCase, standard_cases
+from strategies import PROBABILITY_PALETTE, DagCase, standard_cases
 from repro.backends.python_backend import TIERS
 from repro.backends.registry import available_backends, build_backend
 from repro.core.registry import STRATEGY_NAMES, get_algorithm
@@ -40,6 +41,9 @@ from repro.propagation.sampling import get_worlds
 CASES = standard_cases()
 K = 4
 TRIALS = 6  # below the pool threshold: the fuzz corpus stays in-process
+#: Source sets over :func:`_reach_edge_graph`'s one edge set.
+REACH_EDGE_CASES = ("sources-with-parents", "sink-sources", "sinks-only",
+                    "mixed")
 
 _graphs: dict[str, object] = {}
 _backends: dict[tuple[str, str], object] = {}
@@ -233,7 +237,40 @@ def test_incremental_sessions_match_oracle_across_tiers(case, backend_name):
             )
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+@dataclass(frozen=True)
+class ReachEdgeCase:
+    """One :func:`_reach_edge_graph` source set in :class:`DagCase`'s
+    shape, so the sampled checks run it like a corpus case."""
+
+    name: str
+    seed: int
+
+    def build(self) -> CGraph:
+        return _reach_edge_graph(self.name)
+
+    def edge_probabilities(self) -> dict[tuple[int, int], float]:
+        rng = random.Random(self.seed)
+        return {
+            edge: rng.choice(PROBABILITY_PALETTE)
+            for edge in case_graph(self).edges()
+        }
+
+    def filter_pool(self, count: int) -> list[int]:
+        """Nodes drawn from the whole graph, sources included."""
+        nodes = case_graph(self).nodes()
+        return sorted(random.Random(self.seed).sample(nodes, count))
+
+
+#: The corpus plus the reach corner cases.  The corpus puts every source
+#: at depth 0, where a per-world reach count that dropped a deeper
+#: source's own bit would still pass.
+SAMPLED_CASES = (
+    *CASES,
+    *(ReachEdgeCase(name, 20 + i) for i, name in enumerate(REACH_EDGE_CASES)),
+)
+
+
+@pytest.mark.parametrize("case", SAMPLED_CASES, ids=lambda c: c.name)
 @pytest.mark.parametrize("mechanism", ("live-edge", "per-copy"))
 def test_sampled_queries_bit_identical_across_tiers_and_backends(
     case, mechanism
@@ -272,7 +309,7 @@ def test_sampled_queries_bit_identical_across_tiers_and_backends(
         )
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+@pytest.mark.parametrize("case", SAMPLED_CASES, ids=lambda c: c.name)
 @pytest.mark.parametrize("mechanism", ("live-edge", "per-copy"))
 def test_sampled_queries_match_per_world_oracle(case, mechanism):
     # An SAA reference independent of every sweep tier: the dict engine
@@ -414,11 +451,6 @@ def test_warm_reach_counts_caches_and_matches_backends():
         if expected is None:
             expected = counts
         assert counts == expected
-
-
-#: Source sets over :func:`_reach_edge_graph`'s one edge set.
-REACH_EDGE_CASES = ("sources-with-parents", "sink-sources", "sinks-only",
-                    "mixed")
 
 
 def _reach_edge_graph(case: str) -> CGraph:

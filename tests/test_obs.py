@@ -529,6 +529,50 @@ def test_probe_verdict_recorded_on_plan_span_and_counter(graph_name, verdict):
     assert recorded() == before + 1
 
 
+@pytest.mark.parametrize(
+    "length,representation",
+    [(10, "int32"), (40, "int64"), (70, "exact")],
+)
+def test_sampled_state_build_recorded_on_span_and_counter(
+    length, representation
+):
+    """Each numpy sampled-state build opens a ``backends.sampled_state``
+    span with its trial and source counts and representation, and
+    counts the verdict under ``site="sampled"``; a cached state does
+    neither."""
+    pytest.importorskip("numpy")
+    from conftest import diamond_chain
+    from repro.backends.numpy_backend import NumpyBackend
+    from repro.propagation.model import build_model
+    from repro.propagation.sampling import get_worlds
+
+    graph = diamond_chain(length)
+    model = build_model("live-edge", edge_prob=0.5, trials=4, seed=0)
+    get_worlds(graph, model)
+
+    def recorded() -> float:
+        family = REGISTRY.get("fp_probe_representation_total")
+        if family is None:
+            return 0
+        return family.value(site="sampled", representation=representation)
+
+    backend = NumpyBackend()
+    backend.plan_for(graph)
+    before = recorded()
+    TRACER.enable()
+    with TRACER.trace(trace_id="t-sampled-state") as trace:
+        for _ in range(2):  # the second call hits the cached state
+            backend.sampled_marginal_gains_ids(graph, (), model=model)
+    (record,) = [
+        root for root in trace.roots if root.name == "backends.sampled_state"
+    ]
+    assert {
+        key: record.attrs[key]
+        for key in ("trials", "sources", "representation")
+    } == {"trials": 4, "sources": 1, "representation": representation}
+    assert recorded() == before + 1
+
+
 def test_every_metric_family_is_cataloged():
     """Every ``fp_*`` family named under ``src/`` has a row in the
     metric catalog of docs/observability.md."""

@@ -447,10 +447,8 @@ def test_int32_eligibility_consults_psi_bound():
     graph = CGraph(edges)
     backend = get_backend("numpy")
     plan = backend.plan_for(graph)
-    # The forward level-sum bound is lazy (the flattened plan probe
-    # defers it to the sampled path); the accessor computes and caches.
     assert plan.psi_bound > max(
-        backend._fwd_levelsum(plan) / k, 1
+        plan.fwd_levelsum_bound / k, 1
     )  # sanity: the shape exercises multi-level fan-in
     model = build_model("live-edge", edge_prob=0.9, trials=6, seed=0)
     state = backend._sampled_state(graph, plan, model)
@@ -468,7 +466,36 @@ def test_int32_eligibility_consults_psi_bound():
     # Force ψ beyond int32 range while the level sums stay small: the
     # dtype decision must fall back to int64 on psi_bound alone.
     plan.psi_bound = float(2**31)
-    assert backend._fwd_levelsum(plan) < 2**30
+    assert plan.fwd_levelsum_bound < 2**30
     wide = backend._build_sampled_state(graph, plan, model)
     assert wide.dtype is np.int64
     assert not wide.exact_only
+
+
+@pytest.mark.skipif(
+    "numpy" not in available_backends(), reason="needs the numpy backend"
+)
+def test_many_source_sampled_query_stays_small():
+    """Sampled sweeps hold one row per world, not one per (world,
+    source): on scale-dag@0.02 (2,000 nodes, 760 sources) the first gain
+    call over 8 live-edge worlds, plan and sampled state included, peaks
+    below 16 MB of traced allocations and equals the python backend's."""
+    import tracemalloc
+
+    from repro.backends.numpy_backend import NumpyBackend
+
+    graph = get_dataset("scale-dag", scale=0.02)
+    assert graph.number_of_nodes() == 2000 and len(graph.sources) == 760
+    model = build_model("live-edge", edge_prob=0.9, trials=8, seed=0)
+    get_worlds(graph, model)  # the coin flips are not the sweeps' memory
+    backend = NumpyBackend()
+    tracemalloc.start()
+    try:
+        gains = backend.sampled_marginal_gains_ids(graph, (), model=model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert gains == get_backend("python").sampled_marginal_gains_ids(
+        graph, (), model=model
+    )
